@@ -361,8 +361,13 @@ class EncoderDecoder:
                                            rng=rng))
 
     def batch_logprobs(self, states, key_valid, continuations, rng=None):
-        """Per-item gold log-probability (B,) over a batch of equal-length
-        continuations, teacher forced."""
+        """Per-item gold log-probability (N,) over a batch of N
+        equal-length continuations, teacher forced.
+
+        `states` is an (N, T, d) encoder output with one row per
+        continuation: row i is the prompt that continuation i is scored
+        against. `batch_loss` builds it by tiling each episode's states once
+        per candidate, candidate-major."""
         B = states.data.shape[0]
         ys = np.asarray(continuations, dtype=np.int64)
         dec_in = np.concatenate(

@@ -1,13 +1,21 @@
 """Minimal dense-tensor kernel with reverse-mode autodiff.
 
-Everything is float64 and row-major. Ops copy; there are no views or
-broadcasting beyond what `add`/`mul` need for bias terms. The graph is
-recorded implicitly: each result tensor keeps its parents and a backward
-closure, and `backward()` replays them in reverse topological order.
+Everything is float64 and row-major. There is no broadcasting beyond
+what `add`/`mul` need for bias terms. The graph is recorded implicitly:
+each result tensor keeps its parents and a backward closure, and
+`backward()` replays them in reverse topological order.
 
 Tensors are immutable after construction (the optimizer mutates `.data`
 in place as the single writer during training). One backward graph per
 thread; graphs are never shared.
+
+Gradient ownership: a gradient array may be shared between tensors (`add`
+hands one array to both operands; `reshape`, `transpose` and `concat` hand
+out views), so no gradient array is ever written in place. A second
+contribution is summed into a fresh array, and callers that rescale
+`.grad` rebind it. Constants (neither requiring grad nor produced by a
+tracked op) receive no gradient. A non-leaf node's gradient is released
+as soon as its backward closure has run; only leaves keep theirs.
 """
 
 from __future__ import annotations
@@ -72,7 +80,7 @@ class Tensor:
 
 def _result(data, parents, backward_fn):
     """Build a graph node. Gradient tracking is inherited from parents."""
-    needs = any(p.requires_grad or p._backward is not None for p in parents)
+    needs = any(_tracked(p) for p in parents)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = False
@@ -86,11 +94,18 @@ def _result(data, parents, backward_fn):
     return out
 
 
+def _tracked(t):
+    """True when a gradient reaching `t` has a reader."""
+    return t.requires_grad or t._backward is not None
+
+
 def _accumulate(t, g):
+    if not _tracked(t):
+        return
     if t.grad is None:
-        t.grad = g.copy()
+        t.grad = g
     else:
-        t.grad += g
+        t.grad = t.grad + g
 
 
 def _unbroadcast(grad, shape):
@@ -109,7 +124,7 @@ def constant(data):
 
 def backward(loss):
     """Accumulate gradients of `loss` into every reachable requires_grad
-    tensor, then release the graph.
+    tensor, then release the graph and every non-leaf gradient.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward() needs a scalar loss, got shape {loss.data.shape}")
@@ -132,8 +147,10 @@ def backward(loss):
 
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+        if node._backward is not None:
+            if node.grad is not None:
+                node._backward(node.grad)
+            node.grad = None
         node._parents = ()
         node._backward = None
 
@@ -145,16 +162,20 @@ def backward(loss):
 def add(a, b):
     data = a.data + b.data
     def back(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        if _tracked(a):
+            _accumulate(a, _unbroadcast(g, a.data.shape))
+        if _tracked(b):
+            _accumulate(b, _unbroadcast(g, b.data.shape))
     return _result(data, (a, b), back)
 
 
 def mul(a, b):
     data = a.data * b.data
     def back(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        if _tracked(a):
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        if _tracked(b):
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
     return _result(data, (a, b), back)
 
 
@@ -268,8 +289,10 @@ def contract(spec, a, b):
     def back(g):
         if not out:
             g = g.reshape(())
-        _accumulate(a, _einsum_partial(g, out, b.data, lb, la, a.data.shape))
-        _accumulate(b, _einsum_partial(g, out, a.data, la, lb, b.data.shape))
+        if _tracked(a):
+            _accumulate(a, _einsum_partial(g, out, b.data, lb, la, a.data.shape))
+        if _tracked(b):
+            _accumulate(b, _einsum_partial(g, out, a.data, la, lb, b.data.shape))
     return _result(data, (a, b), back)
 
 

@@ -22,6 +22,10 @@ class NonFiniteLossError(RuntimeError):
     pass
 
 
+class NonFiniteGradientError(RuntimeError):
+    pass
+
+
 @dataclass
 class TrainConfig:
     train_k: int = 8
@@ -76,10 +80,13 @@ class Adam:
             if p.grad is None:
                 continue
             g = p.grad
-            self.m[n] = b1 * self.m[n] + (1 - b1) * g
-            self.v[n] = b2 * self.v[n] + (1 - b2) * g * g
-            mh = self.m[n] / corr1
-            vh = self.v[n] / corr2
+            m, v = self.m[n], self.v[n]
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            mh = m / corr1
+            vh = v / corr2
             p.data -= lr * mh / (np.sqrt(vh) + self.eps)
 
     def zero_grad(self):
@@ -181,31 +188,48 @@ def batch_loss(model, episodes, cfg):
     return tz.scale(total, 1.0 / B)
 
 
-def clip_gradients(params, max_norm):
-    """Scale all gradients so their global norm is at most max_norm."""
+def grad_norm(params):
+    """Global L2 norm over every parameter gradient."""
     total = 0.0
     for p in params.values():
         if p.grad is not None:
             total += float((p.grad * p.grad).sum())
-    norm = np.sqrt(total)
-    if norm > max_norm:
+    return np.sqrt(total)
+
+
+def clip_gradients(params, max_norm):
+    """Scale all gradients so their global norm is at most max_norm.
+    Returns the norm before scaling; a non-finite norm leaves the
+    gradients as they are. Gradients may share arrays, so each one is
+    rebound to a scaled copy rather than scaled in place."""
+    norm = grad_norm(params)
+    if np.isfinite(norm) and norm > max_norm:
         factor = max_norm / norm
         for p in params.values():
             if p.grad is not None:
-                p.grad *= factor
+                p.grad = p.grad * factor
     return norm
 
 
 def train_step(model, optimizer, episodes, lr, cfg):
-    """One optimizer update; returns the pre-update batch loss."""
+    """One optimizer update; returns the pre-update batch loss.
+
+    Raises NonFiniteLossError or NonFiniteGradientError, before any
+    weight changes, when the loss or the global gradient norm is not
+    finite."""
     optimizer.zero_grad()
     loss = batch_loss(model, episodes, cfg)
     value = loss.item()
     if not np.isfinite(value):
         raise NonFiniteLossError(f"loss became non-finite: {value}")
     tz.backward(loss)
+    params = model.parameters()
     if cfg.grad_clip > 0:
-        clip_gradients(model.parameters(), cfg.grad_clip)
+        norm = clip_gradients(params, cfg.grad_clip)
+    else:
+        norm = grad_norm(params)
+    if not np.isfinite(norm):
+        raise NonFiniteGradientError(f"gradient norm became non-finite: {norm}")
     optimizer.step(lr)
     return value
 

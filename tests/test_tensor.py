@@ -189,3 +189,58 @@ def test_tape_cleared_after_backward():
     y = tz.tsum(tz.mul(x, x))
     tz.backward(y)
     assert y._parents == () and y._backward is None
+
+
+class TestGradientOwnership:
+    def test_add_shares_gradient_then_further_use_stays_correct(self):
+        rng = np.random.default_rng(7)
+        a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        b = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = tz.constant(rng.standard_normal((3, 4)))
+        # `add` hands one gradient array to both operands; the later use
+        # of `a` must sum into a fresh array, not into b's gradient
+        loss = tz.add(tz.tsum(tz.mul(tz.add(a, b), w)),
+                      tz.tsum(tz.mul(a, a)))
+        tz.backward(loss)
+        np.testing.assert_allclose(a.grad, w.data + 2 * a.data, atol=1e-12)
+        np.testing.assert_array_equal(b.grad, w.data)
+
+    def test_clipping_one_shared_gradient_leaves_the_other(self):
+        from iclattn.training import clip_gradients
+        rng = np.random.default_rng(8)
+        a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        b = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = tz.constant(rng.standard_normal((3, 4)))
+        tz.backward(tz.tsum(tz.mul(tz.add(a, b), w)))
+        clip_gradients({"a": a}, 1e-3)
+        np.testing.assert_array_equal(b.grad, w.data)
+        np.testing.assert_allclose(np.linalg.norm(a.grad), 1e-3, rtol=1e-12)
+
+    def test_leaf_used_twice(self):
+        x = Tensor(np.random.default_rng(9).standard_normal((2, 5)),
+                   requires_grad=True)
+        tz.backward(tz.tsum(tz.mul(x, x)))
+        np.testing.assert_allclose(x.grad, 2 * x.data, atol=1e-12)
+
+    def test_constants_receive_no_gradient(self):
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        m = tz.constant(rng.standard_normal((2, 3)))
+        pad = tz.constant(np.zeros((2, 2)))
+        w = tz.constant(rng.standard_normal((3, 3)))
+        h = tz.add(tz.mul(x, m), m)
+        h = tz.concat([pad, tz.contract("ij,jk->ik", h, w)], axis=1)
+        tz.backward(tz.tsum(h))
+        assert x.grad is not None
+        assert m.grad is None and pad.grad is None and w.grad is None
+
+    def test_intermediate_gradients_released(self):
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        y = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        h = tz.contract("ij,jk->ik", x, y)
+        r = tz.relu(h)
+        loss = tz.tsum(r)
+        tz.backward(loss)
+        assert h.grad is None and r.grad is None and loss.grad is None
+        assert x.grad is not None and y.grad is not None

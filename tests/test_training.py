@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from iclattn import tensor as tz
+from iclattn.fusion import pack_prompt
 from iclattn.model import EncoderDecoder, ModelConfig
-from iclattn.tasks import LookupFamily
-from iclattn.training import (Adafactor, Adam, TrainConfig, batch_loss,
-                              evaluate, lr_schedule, make_optimizer,
-                              sample_batch, train, train_step)
+from iclattn.tasks import CopyOffsetFamily, LookupFamily
+from iclattn.training import (Adafactor, Adam, NonFiniteGradientError,
+                              TrainConfig, batch_loss, evaluate, lr_schedule,
+                              make_optimizer, sample_batch, train, train_step)
 
 
 def tiny_model(seed=0, variant="structured"):
@@ -76,8 +77,46 @@ class TestBatchLoss:
         slow = sum(batch_loss(model, [ep], cfg).item() for ep in eps)
         assert fast == pytest.approx(slow / len(eps), abs=1e-9)
 
+    @pytest.mark.parametrize("family", [LookupFamily(), CopyOffsetFamily()],
+                             ids=["lookup", "copy"])
+    def test_batched_path_matches_per_candidate_loop(self, family):
+        """The batched fast path against a per-episode reference: one
+        encoder pass and one decoder pass per candidate. A one-episode
+        batch also takes the fast path, so comparing against single-episode
+        `batch_loss` calls would not exercise this. The copy family has C=4
+        candidates of three tokens each."""
+        model = tiny_model()
+        cfg = tiny_cfg()
+        eps = sample_batch(family, cfg.train_k, cfg.batch_size,
+                           np.random.default_rng(4))
+        params = model.parameters()
+
+        total = None
+        for ep in eps:
+            pack = pack_prompt(ep.demos, ep.test, k=cfg.train_k,
+                               l_max=cfg.l_max)
+            enc = model.encode(pack)
+            cand = [model.sequence_logprob(enc, list(c))
+                    for c in ep.test.options]
+            scores = tz.reshape(tz.concat(cand, axis=0), (1, len(cand)))
+            gold = np.array([ep.test.options.index(list(ep.test.y))])
+            nll = tz.scale(tz.gather_last(tz.log_softmax_last(scores), gold),
+                           -1.0)
+            total = nll if total is None else tz.add(total, nll)
+        ref = tz.scale(total, 1.0 / len(eps))
+        tz.backward(ref)
+        ref_grads = {n: p.grad for n, p in params.items()}
+
+        for p in params.values():
+            p.grad = None
+        batched = batch_loss(model, eps, cfg)
+        tz.backward(batched)
+        assert batched.item() == pytest.approx(ref.item(), abs=1e-9)
+        for n, p in params.items():
+            np.testing.assert_allclose(p.grad, ref_grads[n], rtol=0,
+                                       atol=1e-9, err_msg=n)
+
     def test_fallback_without_options_is_plain_nll(self):
-        from iclattn.fusion import pack_prompt
         from iclattn.tasks import Episode, TaskExample
         model = tiny_model()
         cfg = tiny_cfg(train_k=2, batch_size=2)
@@ -149,6 +188,29 @@ class TestTrainStep:
         before = batch_loss(model, eps, cfg).item()
         assert train_step(model, opt, eps, lr=1e-3, cfg=cfg) == pytest.approx(before)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("grad_clip", [1.0, 0.0])
+    def test_non_finite_gradient_raises_before_update(self, monkeypatch,
+                                                      grad_clip, bad):
+        model = tiny_model()
+        cfg = tiny_cfg(batch_size=2, train_k=2, grad_clip=grad_clip)
+        opt = make_optimizer("adam", model.parameters())
+        eps = sample_batch(LookupFamily(), 2, 2, np.random.default_rng(0))
+        real_backward = tz.backward
+
+        def poisoned_backward(loss):
+            real_backward(loss)
+            p = model.parameters()["dec.0.ffn.w1"]
+            p.grad = p.grad.copy()
+            p.grad.flat[0] = bad
+        monkeypatch.setattr(tz, "backward", poisoned_backward)
+
+        before = model.weight_fingerprint()
+        with pytest.raises(NonFiniteGradientError):
+            train_step(model, opt, eps, lr=1e-3, cfg=cfg)
+        assert model.weight_fingerprint() == before
+        assert opt.t == 0
+
 
 class TestOptimizers:
     def _quadratic_steps(self, opt_cls):
@@ -165,6 +227,31 @@ class TestOptimizers:
 
     def test_adafactor_minimizes_quadratic(self):
         assert self._quadratic_steps(Adafactor) < 1e-2
+
+    def test_adam_in_place_moments_match_reference_formula(self):
+        rng = np.random.default_rng(12)
+        params = {"w": tz.Tensor(rng.standard_normal((3, 4)), requires_grad=True),
+                  "b": tz.Tensor(rng.standard_normal(4), requires_grad=True)}
+        opt = Adam(params)
+        b1, b2, eps, lr = opt.beta1, opt.beta2, opt.eps, 1e-2
+        ref = {n: p.data.copy() for n, p in params.items()}
+        m = {n: np.zeros_like(p.data) for n, p in params.items()}
+        v = {n: np.zeros_like(p.data) for n, p in params.items()}
+        for t in range(1, 6):
+            grads = {n: rng.standard_normal(p.data.shape)
+                     for n, p in params.items()}
+            for n, p in params.items():
+                p.grad = grads[n]
+            opt.step(lr)
+            for n, g in grads.items():
+                m[n] = b1 * m[n] + (1 - b1) * g
+                v[n] = b2 * v[n] + (1 - b2) * g * g
+                mh = m[n] / (1 - b1 ** t)
+                vh = v[n] / (1 - b2 ** t)
+                ref[n] -= lr * mh / (np.sqrt(vh) + eps)
+            for n, p in params.items():
+                np.testing.assert_array_equal(p.data, ref[n])
+                np.testing.assert_array_equal(p.grad, grads[n])
 
     def test_adafactor_factored_state_for_matrices(self):
         p = tz.Tensor(np.ones((4, 6)), requires_grad=True)
