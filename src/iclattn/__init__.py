@@ -1,8 +1,7 @@
 """Block-structured encoder attention for in-context learning, with the
 dense/FiD/ensemble fusion baselines and a scaling benchmark."""
 
-from .attention import (AttentionConfig, full_attention, score_storage,
-                        structured_attention)
+from .attention import full_attention, score_storage, structured_attention
 from .model import CandidateSet, EncoderDecoder, ModelConfig
 from .segments import (AttentionMask, RelativeBiasTable, SegmentLayout,
                        bias_for_layout, build_full_mask,
@@ -11,7 +10,7 @@ from .segments import (AttentionMask, RelativeBiasTable, SegmentLayout,
 from .tensor import Tensor, backward, contract, softmax_last
 
 __all__ = [
-    "AttentionConfig", "AttentionMask", "CandidateSet", "EncoderDecoder",
+    "AttentionMask", "CandidateSet", "EncoderDecoder",
     "ModelConfig", "RelativeBiasTable", "SegmentLayout", "Tensor",
     "backward", "bias_for_layout", "build_full_mask",
     "build_structured_mask", "contract", "full_attention",

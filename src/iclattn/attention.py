@@ -1,11 +1,22 @@
 """The two encoder attention implementations.
 
-`full_attention` is plain dense masked attention; it doubles as the
-verification oracle for the block-structured path. `structured_attention`
+`full_attention` is plain dense masked attention. `structured_attention`
 computes the same result for the segmented mask without ever
 materializing the (k+1)L x (k+1)L score matrix: demonstration rows take
 a softmax over [own block || test block], test rows over the full
 sequence, so peak score storage stays O(k L^2).
+
+Each call is a single tape node with a hand-derived backward (the
+recompute-free form of FlashAttention's, without the tiling): with
+probabilities P and output gradient dZ,
+
+    dV = P^T dZ,   dP = dZ V^T,   dS = P * (dP - rowsum(dP * P)),
+    dQ = dS K / sqrt(d),   dK = dS^T Q / sqrt(d),   dbias = dS,
+
+where the structured node sums dbias over every segment diagonal. The
+backward writes into arrays it allocates once per call.
+`dense_structured_reference` composes the same computation from
+primitive tape ops, so it stays an independent oracle for both nodes.
 
 Logits are scaled by 1/sqrt(head_dim) in both variants, applied to the
 queries once up front.
@@ -13,54 +24,71 @@ queries once up front.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from . import tensor as tz
 from .segments import bias_for_layout, build_structured_mask
-from .tensor import (add, concat, constant, contract, dropout, reshape,
-                     scale, slice_axis, softmax_last)
+from .tensor import add, concat, constant, contract, scale, softmax_last
 
 VARIANTS = ("full", "structured")
 
 
-@dataclass
-class AttentionConfig:
-    variant: str = "structured"
-    heads: int = 4
-    head_dim: int = 16
-    dropout_rate: float = 0.0
-    num_buckets: int = 64  # exact buckets over a whole desk-scale prompt
-    max_distance: int = 128
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown attention variant {self.variant!r}")
-        if not (0.0 <= self.dropout_rate < 1.0):
-            raise ValueError("dropout_rate must lie in [0, 1)")
+def _softmax_grad_inplace(dp, p):
+    """dS = P * (dP - rowsum(dP * P)), written over `dp`."""
+    dp -= np.einsum("...r,...r->...", dp, p)[..., None]
+    dp *= p
+    return dp
 
 
-def full_attention(q, k, v, mask, bias=None, dropout_rate=0.0, rng=None):
+def _bias_grad(bias, grad):
+    """Hand `grad` to a tracked bias tensor, summed to its shape."""
+    if bias is not None and tz._tracked(bias):
+        tz._accumulate(bias, tz._unbroadcast(grad, bias.data.shape))
+
+
+def _dense_node(q, k, v, mask_values, bias):
+    """softmax(q k^T / sqrt(d) + mask + bias) v as one tape node."""
+    c = q.data.shape[-1] ** -0.5
+    qs = q.data * c
+    kd, vd = k.data, v.data
+    s = np.matmul(qs, kd.swapaxes(-1, -2))
+    if mask_values is not None:
+        s += mask_values
+    if bias is not None:
+        s += bias.data
+    p = tz._softmax_inplace(s)
+    z = np.matmul(p, vd)
+
+    def back(g):
+        if tz._tracked(v):
+            tz._accumulate(v, np.matmul(p.swapaxes(-1, -2), g))
+        need_q, need_k = tz._tracked(q), tz._tracked(k)
+        if not (need_q or need_k or (bias is not None and tz._tracked(bias))):
+            return
+        ds = _softmax_grad_inplace(np.matmul(g, vd.swapaxes(-1, -2)), p)
+        if need_q:
+            dq = np.matmul(ds, kd)
+            dq *= c
+            tz._accumulate(q, dq)
+        if need_k:
+            tz._accumulate(k, np.matmul(ds.swapaxes(-1, -2), qs))
+        _bias_grad(bias, ds)
+
+    parents = (q, k, v) if bias is None else (q, k, v, bias)
+    return tz._result(z, parents, back)
+
+
+def full_attention(q, k, v, mask, bias=None):
     """z = softmax(q k^T + bias + mask) v, per head.
 
-    q, k, v: (H, T, d). mask: AttentionMask or additive array broadcastable
-    to (H, T, T). This is the oracle: one dense score matrix, no blocks.
+    q: (H, Tq, d); k, v: (H, Tk, d). mask: AttentionMask, additive array
+    broadcastable to (H, Tq, Tk), or None. bias: tensor broadcastable to
+    (H, Tq, Tk), or None. One dense score matrix, no blocks.
     """
-    q = scale(q, q.data.shape[-1] ** -0.5)
-    scores = contract("htd,hrd->htr", q, k)
-    mask_values = getattr(mask, "values", mask)
-    if mask_values is not None:
-        scores = add(scores, constant(mask_values))
-    if bias is not None:
-        scores = add(scores, bias)
-    probs = softmax_last(scores)
-    if dropout_rate > 0.0:
-        probs = dropout(probs, dropout_rate, rng)
-    return contract("htr,hrd->htd", probs, v)
+    return _dense_node(q, k, v, getattr(mask, "values", mask), bias)
 
 
-def structured_attention(q, k, v, layout, bias_block=None, dropout_rate=0.0,
-                         rng=None):
+def structured_attention(q, k, v, layout, bias_block=None):
     """Block-structured attention over a segmented prompt.
 
     q, k, v: (H, (k+1)*L, d). Demonstration-segment rows normalize over
@@ -70,71 +98,105 @@ def structured_attention(q, k, v, layout, bias_block=None, dropout_rate=0.0,
     nowhere else.
     """
     H, T, d = q.data.shape
-    q = scale(q, d ** -0.5)
-    kdem = layout.num_demos
+    K = layout.num_demos
     L = layout.segment_length
     if T != layout.total_length:
         raise ValueError(
-            f"sequence length {T} does not split into {kdem + 1} segments of {L}")
-
+            f"sequence length {T} does not split into {K + 1} segments of {L}")
     key_mask = layout.key_mask()  # (T,)
-    if kdem == 0:
-        scores = contract("htd,hrd->htr", q, k)
-        scores = add(scores, constant(key_mask[None, None, :]))
-        if bias_block is not None:
-            scores = add(scores, bias_block)
-        probs = softmax_last(scores)
-        if dropout_rate > 0.0:
-            probs = dropout(probs, dropout_rate, rng)
-        return contract("htr,hrd->htd", probs, v)
+    if K == 0:
+        return _dense_node(q, k, v, key_mask, bias_block)
 
-    qs = reshape(q, (H, kdem + 1, L, d))
-    ks = reshape(k, (H, kdem + 1, L, d))
-    vs = reshape(v, (H, kdem + 1, L, d))
-    qd = slice_axis(qs, 1, 0, kdem)
-    kd = slice_axis(ks, 1, 0, kdem)
-    vd = slice_axis(vs, 1, 0, kdem)
-    qt = reshape(slice_axis(qs, 1, kdem, kdem + 1), (H, L, d))
-    kt = reshape(slice_axis(ks, 1, kdem, kdem + 1), (H, L, d))
-    vt = reshape(slice_axis(vs, 1, kdem, kdem + 1), (H, L, d))
-
-    block_key_mask = key_mask.reshape(kdem + 1, L)
+    KL = K * L
+    c = d ** -0.5
+    qs = q.data * c
+    kd, vd = k.data, v.data
+    qdf, qt = qs[:, :KL], qs[:, KL:]            # (H, KL, d), (H, L, d)
+    qd = qdf.reshape(H, K, L, d)
+    kdem, kt = kd[:, :KL].reshape(H, K, L, d), kd[:, KL:]
+    vdem, vt = vd[:, :KL].reshape(H, K, L, d), vd[:, KL:]
+    block_mask = key_mask.reshape(K + 1, L)
+    bias = None if bias_block is None else bias_block.data
 
     # demonstration rows: [own diagonal block || test block]
-    diag = contract("hstd,hsrd->hstr", qd, kd)
-    diag = add(diag, constant(block_key_mask[None, :kdem, None, :]))
-    if bias_block is not None:
-        diag = add(diag, reshape(bias_block, (H, 1, L, L)))
-    to_test = contract("hstd,hrd->hstr", qd, kt)
-    to_test = add(to_test, constant(block_key_mask[None, kdem, None, :]))
-    rows = softmax_last(concat([diag, to_test], axis=-1))
-    if dropout_rate > 0.0:
-        rows = dropout(rows, dropout_rate, rng)
-    p_diag = slice_axis(rows, -1, 0, L)
-    p_test = slice_axis(rows, -1, L, 2 * L)
-    z_demo = add(contract("hstr,hsrd->hstd", p_diag, vd),
-                 contract("hstr,hrd->hstd", p_test, vt))
+    sd = np.empty((H, K, L, 2 * L))
+    np.matmul(qd, kdem.swapaxes(-1, -2), out=sd[..., :L])
+    sd[..., :L] += block_mask[:K, None, :]
+    if bias is not None:
+        sd[..., :L] += bias[:, None]
+    sd[..., L:] = np.matmul(qdf, kt.swapaxes(-1, -2)).reshape(H, K, L, L)
+    sd[..., L:] += block_mask[K]
+    pd = tz._softmax_inplace(sd)
+    pdd, pdt = pd[..., :L], pd[..., L:].reshape(H, KL, L)
 
     # test rows: global attention over the whole sequence
-    t_scores = contract("htd,hrd->htr", qt, k)
-    t_scores = add(t_scores, constant(key_mask[None, None, :]))
-    if bias_block is not None:
-        zeros = constant(np.zeros((H, L, kdem * L)))
-        t_scores = add(t_scores, concat([zeros, bias_block], axis=-1))
-    t_probs = softmax_last(t_scores)
-    if dropout_rate > 0.0:
-        t_probs = dropout(t_probs, dropout_rate, rng)
-    z_test = contract("htr,hrd->htd", t_probs, v)
+    st = np.matmul(qt, kd.swapaxes(-1, -2))     # (H, L, T)
+    st += key_mask
+    if bias is not None:
+        st[..., KL:] += bias
+    pt = tz._softmax_inplace(st)
 
-    return concat([reshape(z_demo, (H, kdem * L, d)), z_test], axis=1)
+    z = np.empty((H, T, d))
+    np.matmul(pdd, vdem, out=z[:, :KL].reshape(H, K, L, d))
+    z[:, :KL] += np.matmul(pdt, vt)
+    np.matmul(pt, vd, out=z[:, KL:])
+
+    def back(g):
+        gdf, gt = g[:, :KL], g[:, KL:]
+        gd = gdf.reshape(H, K, L, d)
+        if tz._tracked(v):
+            dv = np.matmul(pt.swapaxes(-1, -2), gt)            # (H, T, d)
+            dv_diag = dv[:, :KL].reshape(H, K, L, d)
+            dv_diag += np.matmul(pdd.swapaxes(-1, -2), gd)
+            dv[:, KL:] += np.matmul(pdt.swapaxes(-1, -2), gdf)
+            tz._accumulate(v, dv)
+        need_q, need_k = tz._tracked(q), tz._tracked(k)
+        if not (need_q or need_k
+                or (bias_block is not None and tz._tracked(bias_block))):
+            return
+        dst = _softmax_grad_inplace(np.matmul(gt, vd.swapaxes(-1, -2)), pt)
+        dsd = np.empty((H, K, L, 2 * L))
+        np.matmul(gd, vdem.swapaxes(-1, -2), out=dsd[..., :L])
+        dsd[..., L:] = np.matmul(gdf, vt.swapaxes(-1, -2)).reshape(H, K, L, L)
+        _softmax_grad_inplace(dsd, pd)
+        dsdd, dsdt = dsd[..., :L], dsd[..., L:].reshape(H, KL, L)
+        if need_q:
+            dq = np.empty((H, T, d))
+            np.matmul(dsdd, kdem, out=dq[:, :KL].reshape(H, K, L, d))
+            dq[:, :KL] += np.matmul(dsdt, kt)
+            np.matmul(dst, kd, out=dq[:, KL:])
+            dq *= c
+            tz._accumulate(q, dq)
+        if need_k:
+            dk = np.matmul(dst.swapaxes(-1, -2), qt)           # (H, T, d)
+            dk_diag = dk[:, :KL].reshape(H, K, L, d)
+            dk_diag += np.matmul(dsdd.swapaxes(-1, -2), qd)
+            dk[:, KL:] += np.matmul(dsdt.swapaxes(-1, -2), qdf)
+            tz._accumulate(k, dk)
+        if bias is not None:
+            db = dsdd.sum(axis=1)
+            db += dst[..., KL:]
+            _bias_grad(bias_block, db)
+
+    parents = (q, k, v) if bias_block is None else (q, k, v, bias_block)
+    return tz._result(z, parents, back)
 
 
 def dense_structured_reference(q, k, v, layout, table):
     """Oracle route for the structured path: dense attention under the
-    structured mask with the structured bias placement."""
+    structured mask with the structured bias placement, composed from
+    primitive tape ops. The leading axis may merge a batch of prompts
+    with the table's heads, as the model's batched path does."""
     mask = build_structured_mask(layout)
-    bias = bias_for_layout(table, layout, structured=True) if table else None
-    return full_attention(q, k, v, mask, bias)
+    q = scale(q, q.data.shape[-1] ** -0.5)
+    scores = add(contract("htd,hrd->htr", q, k), constant(mask.values))
+    if table:
+        bias = bias_for_layout(table, layout, structured=True)
+        prompts = q.data.shape[0] // table.num_heads
+        if prompts > 1:
+            bias = concat([bias] * prompts, axis=0)
+        scores = add(scores, bias)
+    return contract("htr,hrd->htd", softmax_last(scores), v)
 
 
 def score_storage(k, L):

@@ -71,6 +71,7 @@ def build_parser():
         description="Structured-attention in-context learner: verify, train, "
                     "evaluate, and benchmark at desk scale.")
     sub = parser.add_subparsers(dest="command", required=True)
+    train_defaults = training.TrainConfig()
 
     p = sub.add_parser("verify", help="run oracle/invariance/gradient suites")
     p.add_argument("--quick", action="store_true", help="reduced instance counts")
@@ -78,12 +79,13 @@ def build_parser():
     p = sub.add_parser("train", help="meta-train on a synthetic family")
     p.add_argument("--family", default="lookup", choices=sorted(tasks.FAMILIES))
     p.add_argument("--variant", default="structured", choices=("structured", "full"))
-    p.add_argument("--steps", type=int, default=3000)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--lr", type=float, default=2e-3)
-    p.add_argument("--train-k", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--optimizer", default="adam", choices=("adam", "adafactor"))
+    p.add_argument("--steps", type=int, default=train_defaults.steps)
+    p.add_argument("--batch-size", type=int, default=train_defaults.batch_size)
+    p.add_argument("--lr", type=float, default=train_defaults.lr)
+    p.add_argument("--train-k", type=int, default=train_defaults.train_k)
+    p.add_argument("--seed", type=int, default=train_defaults.seed)
+    p.add_argument("--optimizer", default=train_defaults.optimizer,
+                   choices=("adam", "adafactor"))
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--log-csv", help="write step,loss,lr CSV here")
     p.add_argument("--checkpoint", help="save trained weights here (.npz)")

@@ -32,6 +32,10 @@ class VocabularyOverflowError(ValueError):
     pass
 
 
+class ContinuationCountError(ValueError):
+    """A continuation batch that does not split evenly over its episodes."""
+
+
 @dataclass
 class ModelConfig:
     vocab: int = 64
@@ -47,7 +51,6 @@ class ModelConfig:
     # the full-attention variant needs to locate far demonstrations.
     num_buckets: int = 64
     max_distance: int = 128
-    dropout: float = 0.0
 
     def __post_init__(self):
         if self.d_model % self.heads != 0:
@@ -186,18 +189,16 @@ class EncoderDecoder:
         flag[layout.num_demos * layout.segment_length:] = 1.0
         return tz.add(x, tz.mul(self.params["test_marker"], tz.constant(flag)))
 
-    def _encoder_attention(self, x, layout, rng):
-        rate = self.config.dropout if rng is not None else 0.0
+    def _encoder_attention(self, x, layout):
         if self.config.variant == "structured":
             bias = self.enc_bias.bias_block(layout.segment_length)
-            return attn.structured_attention(
-                *x, layout, bias_block=bias, dropout_rate=rate, rng=rng)
+            return attn.structured_attention(*x, layout, bias_block=bias)
         mask = build_full_mask(layout)
         bias = self.enc_bias.bias_global(layout.total_length)
-        return attn.full_attention(*x, mask, bias, dropout_rate=rate, rng=rng)
+        return attn.full_attention(*x, mask, bias)
 
     # -- forward passes ------------------------------------------------
-    def encode(self, pack, rng=None):
+    def encode(self, pack):
         """Run the encoder over a packed prompt. Returns EncoderOutput."""
         tokens = pack.padded_tokens()
         layout = pack.layout()
@@ -208,13 +209,13 @@ class EncoderDecoder:
         for i in range(self.config.enc_layers):
             h = self._ln(x, f"enc.{i}.ln1")
             z = self._encoder_attention(self._project(h, f"enc.{i}.attn"),
-                                        layout, rng)
+                                        layout)
             x = tz.add(x, self._out(z, f"enc.{i}.attn"))
             x = tz.add(x, self._ffn(self._ln(x, f"enc.{i}.ln2"), f"enc.{i}.ffn"))
         states = self._ln(x, "enc.final")
         return EncoderOutput(states, layout.key_valid())
 
-    def decode_logits(self, enc_out, continuation, rng=None):
+    def decode_logits(self, enc_out, continuation):
         """Teacher-forced decoder logits (|y|, vocab) for a continuation."""
         y = list(continuation)
         if not y:
@@ -227,14 +228,12 @@ class EncoderDecoder:
         causal = np.where(np.tril(np.ones((T, T), dtype=bool)), 0.0, MASK_VALUE)
         self_bias = self.dec_bias.bias_block(T)
         cross_mask = np.where(enc_out.key_valid, 0.0, MASK_VALUE)[None, None, :]
-        rate = self.config.dropout if rng is not None else 0.0
 
         x = tz.embed(self.params["embed"], dec_in)
         for i in range(self.config.dec_layers):
             h = self._ln(x, f"dec.{i}.ln1")
             z = attn.full_attention(*self._project(h, f"dec.{i}.self"),
-                                    causal[None, :, :], self_bias,
-                                    dropout_rate=rate, rng=rng)
+                                    causal[None, :, :], self_bias)
             x = tz.add(x, self._out(z, f"dec.{i}.self"))
 
             h = self._ln(x, f"dec.{i}.ln2")
@@ -244,16 +243,15 @@ class EncoderDecoder:
                                                p[f"dec.{i}.cross.wk"]))
             vv = self._heads_split(tz.contract("td,de->te", enc_out.states,
                                                p[f"dec.{i}.cross.wv"]))
-            z = attn.full_attention(q, kk, vv, cross_mask,
-                                    dropout_rate=rate, rng=rng)
+            z = attn.full_attention(q, kk, vv, cross_mask)
             x = tz.add(x, self._out(z, f"dec.{i}.cross"))
             x = tz.add(x, self._ffn(self._ln(x, f"dec.{i}.ln3"), f"dec.{i}.ffn"))
         h = self._ln(x, "dec.final")
         return tz.contract("td,vd->tv", h, self.params["out"])
 
-    def sequence_logprob(self, enc_out, continuation, rng=None):
+    def sequence_logprob(self, enc_out, continuation):
         """Scalar tensor: sum of log p(y_t | y_<t, encoder states)."""
-        logits = self.decode_logits(enc_out, continuation, rng=rng)
+        logits = self.decode_logits(enc_out, continuation)
         logp = tz.log_softmax_last(logits)
         picked = tz.gather_last(logp, np.asarray(continuation, dtype=np.int64))
         return tz.tsum(picked)
@@ -320,7 +318,7 @@ class EncoderDecoder:
     def _tile_heads(bias, batch):
         return bias if batch == 1 else tz.concat([bias] * batch, axis=0)
 
-    def encode_batch(self, packs, rng=None):
+    def encode_batch(self, packs):
         """Encoder over a batch of packs sharing one layout. Returns
         (states (B, T, d), key_valid (T,))."""
         layout = packs[0].layout()
@@ -331,7 +329,6 @@ class EncoderDecoder:
         if tokens.max(initial=0) >= self.config.vocab:
             raise VocabularyOverflowError(
                 f"token id {tokens.max()} >= vocab {self.config.vocab}")
-        rate = self.config.dropout if rng is not None else 0.0
         structured = self.config.variant == "structured"
         if structured:
             bias = self.enc_bias.bias_block(layout.segment_length)
@@ -345,51 +342,55 @@ class EncoderDecoder:
             qkv = self._project_b(h, f"enc.{i}.attn")
             if structured:
                 z = attn.structured_attention(
-                    *qkv, layout, bias_block=self._tile_heads(bias, B),
-                    dropout_rate=rate, rng=rng)
+                    *qkv, layout, bias_block=self._tile_heads(bias, B))
             else:
-                z = attn.full_attention(*qkv, mask, self._tile_heads(bias, B),
-                                        dropout_rate=rate, rng=rng)
+                z = attn.full_attention(*qkv, mask, self._tile_heads(bias, B))
             x = tz.add(x, self._out_b(z, f"enc.{i}.attn", B))
             x = tz.add(x, self._ffn_b(self._ln(x, f"enc.{i}.ln2"), f"enc.{i}.ffn"))
         return self._ln(x, "enc.final"), layout.key_valid()
 
-    def batch_logprob_sum(self, states, key_valid, continuations, rng=None):
+    def batch_logprob_sum(self, states, key_valid, continuations):
         """Summed gold log-probability over a batch of equal-length
         continuations, teacher forced."""
-        return tz.tsum(self.batch_logprobs(states, key_valid, continuations,
-                                           rng=rng))
+        return tz.tsum(self.batch_logprobs(states, key_valid, continuations))
 
-    def batch_logprobs(self, states, key_valid, continuations, rng=None):
+    def batch_logprobs(self, states, key_valid, continuations):
         """Per-item gold log-probability (N,) over a batch of N
         equal-length continuations, teacher forced.
 
-        `states` is an (N, T, d) encoder output with one row per
-        continuation: row i is the prompt that continuation i is scored
-        against. `batch_loss` builds it by tiling each episode's states once
-        per candidate, candidate-major."""
-        B = states.data.shape[0]
+        `states` is the (E, T, d) encoder output of E episodes, and the
+        continuations are episode-major: with C = N / E, continuations
+        e*C .. e*C + C - 1 are scored against episode e. Self-attention,
+        the FFN and the loss run per continuation. Cross-attention folds
+        each episode's C continuations into one (C*Td)-row query, so K/V
+        are projected once per episode, not once per continuation.
+        Raises ContinuationCountError unless N is a multiple of E."""
+        E = states.data.shape[0]
         ys = np.asarray(continuations, dtype=np.int64)
+        N = ys.shape[0]
+        if N % E:
+            raise ContinuationCountError(
+                f"{N} continuations do not split evenly over {E} episodes")
         dec_in = np.concatenate(
-            [np.full((B, 1), BOS_ID, dtype=np.int64), ys[:, :-1]], axis=1)
+            [np.full((N, 1), BOS_ID, dtype=np.int64), ys[:, :-1]], axis=1)
         T = dec_in.shape[1]
         causal = np.where(np.tril(np.ones((T, T), dtype=bool)), 0.0, MASK_VALUE)
-        self_bias = self._tile_heads(self.dec_bias.bias_block(T), B)
+        self_bias = self._tile_heads(self.dec_bias.bias_block(T), N)
         cross_mask = np.where(key_valid, 0.0, MASK_VALUE)[None, None, :]
-        rate = self.config.dropout if rng is not None else 0.0
+        d = self.config.d_model
 
         x = tz.embed(self.params["embed"], dec_in)
         for i in range(self.config.dec_layers):
             h = self._ln(x, f"dec.{i}.ln1")
             z = attn.full_attention(*self._project_b(h, f"dec.{i}.self"),
-                                    causal[None, :, :], self_bias,
-                                    dropout_rate=rate, rng=rng)
-            x = tz.add(x, self._out_b(z, f"dec.{i}.self", B))
-            h = self._ln(x, f"dec.{i}.ln2")
+                                    causal[None, :, :], self_bias)
+            x = tz.add(x, self._out_b(z, f"dec.{i}.self", N))
+            h = tz.reshape(self._ln(x, f"dec.{i}.ln2"), (E, N // E * T, d))
             z = attn.full_attention(
                 *self._project_b(h, f"dec.{i}.cross", kv_from=states),
-                cross_mask, dropout_rate=rate, rng=rng)
-            x = tz.add(x, self._out_b(z, f"dec.{i}.cross", B))
+                cross_mask)
+            z = tz.reshape(self._out_b(z, f"dec.{i}.cross", E), (N, T, d))
+            x = tz.add(x, z)
             x = tz.add(x, self._ffn_b(self._ln(x, f"dec.{i}.ln3"), f"dec.{i}.ffn"))
         h = self._ln(x, "dec.final")
         logits = tz.contract("btd,vd->btv", h, self.params["out"])
@@ -411,7 +412,10 @@ class EncoderDecoder:
             header = json.loads(bytes(blob["__header__"].tobytes()).decode())
             if header.get("version") != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version: {header.get('version')}")
-            model = cls(ModelConfig(**header["config"]))
+            config = dict(header["config"])
+            # older checkpoints record a `dropout` field that was never active
+            config.pop("dropout", None)
+            model = cls(ModelConfig(**config))
             for name, t in model.params.items():
                 t.data = blob[name].astype(np.float64)
         return model

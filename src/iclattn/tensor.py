@@ -296,20 +296,27 @@ def contract(spec, a, b):
     return _result(data, (a, b), back)
 
 
+def _softmax_inplace(s):
+    """Softmax along the last axis of float array `s`, written over it.
+    Rows consisting entirely of mask values become all zeros instead of
+    NaN. Shared by `softmax_last` and the fused attention nodes."""
+    if np.isnan(s).any():
+        raise ValueError("softmax_last: NaN in input")
+    m = s.max(axis=-1, keepdims=True)
+    np.subtract(s, m, out=s)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    dead = m <= _MASKED_ROW_THRESHOLD
+    if dead.any():
+        np.copyto(s, 0.0, where=dead)
+    return s
+
+
 def softmax_last(x):
     """Softmax along the last axis. Rows consisting entirely of mask
     values return all zeros instead of NaN.
     """
-    data = x.data
-    if np.isnan(data).any():
-        raise ValueError("softmax_last: NaN in input")
-    m = data.max(axis=-1, keepdims=True)
-    e = np.exp(data - m)
-    s = e.sum(axis=-1, keepdims=True)
-    y = e / s
-    dead = m <= _MASKED_ROW_THRESHOLD
-    if dead.any():
-        y = np.where(dead, 0.0, y)
+    y = _softmax_inplace(x.data.copy())
 
     def back(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
@@ -450,13 +457,3 @@ def layer_norm(x, gain, bias, eps=1e-5):
         _accumulate(x, dx)
     return _result(data, (x, gain, bias), back)
 
-
-def dropout(x, rate, rng):
-    """Inverted dropout; identity when rate == 0."""
-    if rate <= 0.0:
-        return x
-    keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    data = x.data * keep
-    def back(g):
-        _accumulate(x, g * keep)
-    return _result(data, (x,), back)

@@ -10,7 +10,7 @@ import numpy as np
 from . import tensor as tz
 from .attention import (dense_structured_reference, full_attention,
                         score_storage, structured_attention)
-from .segments import (RelativeBiasTable, SegmentLayout,
+from .segments import (RelativeBiasTable, SegmentLayout, bias_for_layout,
                        build_full_mask, build_structured_mask,
                        permute_segments)
 from .tensor import Tensor
@@ -129,25 +129,84 @@ def mask_counts(max_k=6, max_l=5):
     return True, None
 
 
-def attention_gradients(seed=2, rtol=1e-4):
-    """Finite-difference check through both attention variants."""
+# Layouts the fused attention nodes are checked on, as (name, layout,
+# prompts): several prompts sharing one bias (tiled as the model's batched
+# path does), ragged valid counts, and no demonstrations at all.
+FUSED_CASES = (
+    ("batched", SegmentLayout(2, 2, (2, 2, 2)), 3),
+    ("ragged", SegmentLayout(3, 3, (3, 1, 2, 2)), 1),
+    ("k0", SegmentLayout(0, 3, (2,)), 2),
+)
+
+
+def _squared_sum(fn):
+    """Scalar loss sum(fn()^2), returning the output alongside."""
+    out = fn()
+    return tz.tsum(tz.mul(out, out)), out
+
+
+def _value_and_grads(fn, tensors):
+    for t in tensors:
+        t.grad = None
+    loss, out = _squared_sum(fn)
+    tz.backward(loss)
+    return [out.data] + [t.grad for t in tensors]
+
+
+def check_fused_case(layout, prompts, seed=2, heads=2, d=3, rtol=1e-4):
+    """Both fused attention nodes against the composite oracle on one
+    layout. The structured node gets its shared bias block, the full node
+    the structured mask and bias placement, each tiled over `prompts`.
+    Returns (worst finite-difference relative error over both nodes and
+    the oracle, worst gap between a node and the oracle over the output
+    and the gradients of q, k, v and the bias table)."""
     rng = np.random.default_rng(seed)
-    q, k, v, layout, table = random_instance(rng, k=2, L=2, H=2, d=3)
+    shape = (prompts * heads, layout.total_length, d)
+    q, k, v = (Tensor(rng.standard_normal(shape), requires_grad=True)
+               for _ in range(3))
+    table = RelativeBiasTable(heads, num_buckets=8, max_distance=16,
+                              rng=rng, init_std=0.5)
+    tensors = [q, k, v, table.weights]
 
-    def loss_structured():
-        out = structured_attention(
-            q, k, v, layout, bias_block=table.bias_block(layout.segment_length))
-        return tz.tsum(tz.mul(out, out))
+    def tiled(bias):
+        return bias if prompts == 1 else tz.concat([bias] * prompts, axis=0)
 
-    def loss_full():
-        out = dense_structured_reference(q, k, v, layout, table)
-        return tz.tsum(tz.mul(out, out))
+    nodes = [
+        lambda: structured_attention(
+            q, k, v, layout,
+            bias_block=tiled(table.bias_block(layout.segment_length))),
+        lambda: full_attention(
+            q, k, v, build_structured_mask(layout),
+            tiled(bias_for_layout(table, layout, structured=True))),
+    ]
 
-    for t in (q, k, v, table.weights):
-        t.requires_grad = True
-    ok1, w1 = grad_check(loss_structured, [q, k, v, table.weights], rtol=rtol)
-    ok2, w2 = grad_check(loss_full, [q, k, v, table.weights], rtol=rtol)
-    return ok1 and ok2, max(w1, w2)
+    def oracle():
+        return dense_structured_reference(q, k, v, layout, table)
+
+    expected = _value_and_grads(oracle, tensors)
+    worst_gap = 0.0
+    for node in nodes:
+        got = _value_and_grads(node, tensors)
+        worst_gap = max([worst_gap] + [float(np.max(np.abs(a - b)))
+                                       for a, b in zip(got, expected)])
+    worst_fd = 0.0
+    for fn in nodes + [oracle]:
+        _, err = grad_check(lambda: _squared_sum(fn)[0], tensors, rtol=rtol)
+        worst_fd = max(worst_fd, err)
+    return worst_fd, worst_gap
+
+
+def attention_gradients(seed=2, rtol=1e-4, tol=1e-9):
+    """Finite-difference and oracle checks of both fused attention nodes
+    on every layout in FUSED_CASES. Passes when every finite-difference
+    relative error is within `rtol` and every oracle gap within `tol`;
+    also returns the worst of all of them."""
+    ok, worst = True, 0.0
+    for _, layout, prompts in FUSED_CASES:
+        fd, gap = check_fused_case(layout, prompts, seed=seed, rtol=rtol)
+        ok = ok and fd <= rtol and gap <= tol
+        worst = max(worst, fd, gap)
+    return ok, worst
 
 
 def run_suite(quick=False):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from iclattn import verify
 from iclattn.attention import (dense_structured_reference, full_attention,
                                score_storage, structured_attention)
-from iclattn.segments import RelativeBiasTable, SegmentLayout, permute_segments
-from iclattn.tensor import Tensor, backward, tsum
+from iclattn.segments import (RelativeBiasTable, SegmentLayout,
+                              build_full_mask, permute_segments)
+from iclattn.tensor import MASK_VALUE, Tensor, backward, tsum
 
 
 def full_layout(k, L):
@@ -148,3 +150,46 @@ class TestGradients:
         dense = grads(lambda q, k, v: dense_structured_reference(q, k, v, layout, table=None))
         for a, b in zip(fast, dense):
             np.testing.assert_allclose(a, b, atol=1e-9)
+
+
+class TestFusedNodes:
+    """Each attention call is one tape node with a hand-written backward;
+    the composite dense oracle checks its output and every gradient."""
+
+    @pytest.mark.parametrize("name,layout,prompts", verify.FUSED_CASES,
+                             ids=[case[0] for case in verify.FUSED_CASES])
+    def test_matches_oracle_and_finite_differences(self, name, layout, prompts):
+        fd, gap = verify.check_fused_case(layout, prompts, seed=13)
+        assert gap <= 1e-9
+        assert fd <= 1e-4
+
+    def test_one_tape_node_per_call(self):
+        rng = np.random.default_rng(14)
+        layout = SegmentLayout(3, 2, (2, 1, 2, 2))
+        q, key, v = (Tensor(a, requires_grad=True) for a in
+                     (rng.standard_normal((2, 8, 4)) for _ in range(3)))
+        bias = Tensor(rng.standard_normal((2, 2, 2)), requires_grad=True)
+        out = structured_attention(q, key, v, layout, bias_block=bias)
+        assert out._parents == (q, key, v, bias)
+        out = full_attention(q, key, v, build_full_mask(layout))
+        assert out._parents == (q, key, v)
+
+    def test_all_masked_row_gives_zeros(self):
+        rng = np.random.default_rng(15)
+        q, key, v = (Tensor(a, requires_grad=True) for a in
+                     (rng.standard_normal((2, 3, 4)) for _ in range(3)))
+        mask = np.zeros((3, 3))
+        mask[1] = MASK_VALUE
+        out = full_attention(q, key, v, mask)
+        assert np.all(out.data[:, 1] == 0.0)
+        backward(tsum(out))
+        assert np.all(q.grad[:, 1] == 0.0)
+        assert all(np.isfinite(t.grad).all() for t in (q, key, v))
+
+    def test_nan_scores_raise(self):
+        q = Tensor(np.full((1, 2, 2), np.nan))
+        key = Tensor(np.ones((1, 2, 2)))
+        with pytest.raises(ValueError, match="NaN"):
+            full_attention(q, key, key, None)
+        with pytest.raises(ValueError, match="NaN"):
+            structured_attention(q, key, key, full_layout(1, 1))

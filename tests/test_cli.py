@@ -102,6 +102,14 @@ class TestCommands:
         assert rc == 0
         assert capsys.readouterr().out.startswith("variant,k,L")
 
+    def test_train_defaults_follow_train_config(self):
+        args = cli.build_parser().parse_args(["train"])
+        cfg = TrainConfig()
+        assert (args.steps, args.batch_size, args.lr, args.train_k,
+                args.seed, args.optimizer) == (
+            cfg.steps, cfg.batch_size, cfg.lr, cfg.train_k, cfg.seed,
+            cfg.optimizer)
+
     def test_train_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "train.cfg"
         cfg.write_text("steps=2\nbatch_size=2\ntrain_k=2\n")

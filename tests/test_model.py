@@ -1,12 +1,15 @@
+import json
 import math
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from iclattn.fusion import PromptPack
-from iclattn.model import (BOS_ID, PAD_ID, EncoderDecoder, ModelConfig,
-                           VocabularyOverflowError)
+from iclattn.model import (BOS_ID, CHECKPOINT_VERSION, PAD_ID,
+                           ContinuationCountError, EncoderDecoder,
+                           ModelConfig, VocabularyOverflowError)
 
 
 def make_pack(demos, test, score, fmt="direct"):
@@ -156,7 +159,48 @@ class TestBatchedPath:
         assert total == pytest.approx(singles, abs=1e-9)
 
 
+    def test_batch_logprobs_are_episode_major(self):
+        """Continuation i*C + c is scored against episode i: permuting the
+        episodes permutes the scores in blocks of C."""
+        m = small_model()
+        packs = [make_pack([(2, 3)], (4, 5), (6,)),
+                 make_pack([(8, 9)], (10, 11), (12,))]
+        conts = [[6, 7], [12, 13], [14, 15]]
+        states, key_valid = m.encode_batch(packs)
+        lp = m.batch_logprobs(states, key_valid, conts * 2).data
+        states_r, _ = m.encode_batch(packs[::-1])
+        lp_r = m.batch_logprobs(states_r, key_valid, conts * 2).data
+        assert np.abs(lp[:3] - lp_r[3:]).max() <= 1e-12
+        assert np.abs(lp[3:] - lp_r[:3]).max() <= 1e-12
+        for i, pack in enumerate(packs):
+            for c, cont in enumerate(conts):
+                single = m.sequence_logprob(m.encode(pack), cont).item()
+                assert lp[i * 3 + c] == pytest.approx(single, abs=1e-9)
+
+    def test_continuations_must_split_over_episodes(self):
+        m = small_model()
+        packs = [make_pack([(2, 3)], (4, 5), (6,)),
+                 make_pack([(8, 9)], (10, 11), (12,))]
+        states, key_valid = m.encode_batch(packs)
+        with pytest.raises(ContinuationCountError, match="3 continuations"):
+            m.batch_logprobs(states, key_valid, [[6], [7], [8]])
+
+
 class TestCheckpoint:
+    def test_loads_checkpoint_with_dropout_field(self, tmp_path):
+        """Checkpoints written while ModelConfig still had a (never
+        active) dropout field load unchanged."""
+        m = small_model(seed=6)
+        header = {"version": CHECKPOINT_VERSION,
+                  "config": {**asdict(m.config), "dropout": 0.0}}
+        path = os.path.join(tmp_path, "old.npz")
+        np.savez(path, __header__=np.frombuffer(
+            json.dumps(header).encode(), dtype=np.uint8),
+            **{name: t.data for name, t in m.parameters().items()})
+        m2 = EncoderDecoder.load(path)
+        assert m2.config == m.config
+        assert m2.weight_fingerprint() == m.weight_fingerprint()
+
     def test_round_trip_bit_exact(self, tmp_path):
         m = small_model(seed=3)
         path = os.path.join(tmp_path, "ckpt.npz")
