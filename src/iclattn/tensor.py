@@ -399,18 +399,6 @@ def concat(tensors, axis):
     return _result(data, tuple(tensors), back)
 
 
-def slice_axis(x, axis, start, stop):
-    idx = [slice(None)] * x.data.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-    data = x.data[idx].copy()
-    def back(g):
-        full = np.zeros_like(x.data)
-        full[idx] = g
-        _accumulate(x, full)
-    return _result(data, (x,), back)
-
-
 def embed(table, ids):
     """Row lookup: out[..., :] = table[ids[...], :]. Gradient scatter-adds."""
     ids = np.asarray(ids)
