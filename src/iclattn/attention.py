@@ -40,10 +40,10 @@ def _softmax_grad_inplace(dp, p):
     return dp
 
 
-def _bias_grad(bias, grad):
-    """Hand `grad` to a tracked bias tensor, summed to its shape."""
-    if bias is not None and tz._tracked(bias):
-        tz._accumulate(bias, tz._unbroadcast(grad, bias.data.shape))
+def tile_bias(bias, prompts):
+    """A per-head bias repeated for `prompts` prompts folded into the
+    leading (head) axis, prompt-major, as the batched paths lay them out."""
+    return bias if prompts == 1 else concat([bias] * prompts, axis=0)
 
 
 def _dense_node(q, k, v, mask_values, bias):
@@ -63,7 +63,8 @@ def _dense_node(q, k, v, mask_values, bias):
         if tz._tracked(v):
             tz._accumulate(v, np.matmul(p.swapaxes(-1, -2), g))
         need_q, need_k = tz._tracked(q), tz._tracked(k)
-        if not (need_q or need_k or (bias is not None and tz._tracked(bias))):
+        need_bias = bias is not None and tz._tracked(bias)
+        if not (need_q or need_k or need_bias):
             return
         ds = _softmax_grad_inplace(np.matmul(g, vd.swapaxes(-1, -2)), p)
         if need_q:
@@ -72,7 +73,8 @@ def _dense_node(q, k, v, mask_values, bias):
             tz._accumulate(q, dq)
         if need_k:
             tz._accumulate(k, np.matmul(ds.swapaxes(-1, -2), qs))
-        _bias_grad(bias, ds)
+        if need_bias:
+            tz._accumulate(bias, tz._unbroadcast(ds, bias.data.shape))
 
     parents = (q, k, v) if bias is None else (q, k, v, bias)
     return tz._result(z, parents, back)
@@ -151,8 +153,8 @@ def structured_attention(q, k, v, layout, bias_block=None):
             dv[:, KL:] += np.matmul(pdt.swapaxes(-1, -2), gdf)
             tz._accumulate(v, dv)
         need_q, need_k = tz._tracked(q), tz._tracked(k)
-        if not (need_q or need_k
-                or (bias_block is not None and tz._tracked(bias_block))):
+        need_bias = bias_block is not None and tz._tracked(bias_block)
+        if not (need_q or need_k or need_bias):
             return
         dst = _softmax_grad_inplace(np.matmul(gt, vd.swapaxes(-1, -2)), pt)
         dsd = np.empty((H, K, L, 2 * L))
@@ -173,10 +175,10 @@ def structured_attention(q, k, v, layout, bias_block=None):
             dk_diag += np.matmul(dsdd.swapaxes(-1, -2), qd)
             dk[:, KL:] += np.matmul(dsdt.swapaxes(-1, -2), qdf)
             tz._accumulate(k, dk)
-        if bias is not None:
+        if need_bias:
             db = dsdd.sum(axis=1)
             db += dst[..., KL:]
-            _bias_grad(bias_block, db)
+            tz._accumulate(bias_block, tz._unbroadcast(db, bias.shape))
 
     parents = (q, k, v) if bias_block is None else (q, k, v, bias_block)
     return tz._result(z, parents, back)
@@ -192,10 +194,8 @@ def dense_structured_reference(q, k, v, layout, table):
     scores = add(contract("htd,hrd->htr", q, k), constant(mask.values))
     if table:
         bias = bias_for_layout(table, layout, structured=True)
-        prompts = q.data.shape[0] // table.num_heads
-        if prompts > 1:
-            bias = concat([bias] * prompts, axis=0)
-        scores = add(scores, bias)
+        scores = add(scores, tile_bias(
+            bias, q.data.shape[0] // table.num_heads))
     return contract("htr,hrd->htd", softmax_last(scores), v)
 
 

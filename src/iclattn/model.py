@@ -314,10 +314,6 @@ class EncoderDecoder:
         return tz.add(tz.contract("btf,fd->btd", h, p[f"{prefix}.w2"]),
                       p[f"{prefix}.b2"])
 
-    @staticmethod
-    def _tile_heads(bias, batch):
-        return bias if batch == 1 else tz.concat([bias] * batch, axis=0)
-
     def encode_batch(self, packs):
         """Encoder over a batch of packs sharing one layout. Returns
         (states (B, T, d), key_valid (T,))."""
@@ -342,9 +338,9 @@ class EncoderDecoder:
             qkv = self._project_b(h, f"enc.{i}.attn")
             if structured:
                 z = attn.structured_attention(
-                    *qkv, layout, bias_block=self._tile_heads(bias, B))
+                    *qkv, layout, bias_block=attn.tile_bias(bias, B))
             else:
-                z = attn.full_attention(*qkv, mask, self._tile_heads(bias, B))
+                z = attn.full_attention(*qkv, mask, attn.tile_bias(bias, B))
             x = tz.add(x, self._out_b(z, f"enc.{i}.attn", B))
             x = tz.add(x, self._ffn_b(self._ln(x, f"enc.{i}.ln2"), f"enc.{i}.ffn"))
         return self._ln(x, "enc.final"), layout.key_valid()
@@ -375,7 +371,7 @@ class EncoderDecoder:
             [np.full((N, 1), BOS_ID, dtype=np.int64), ys[:, :-1]], axis=1)
         T = dec_in.shape[1]
         causal = np.where(np.tril(np.ones((T, T), dtype=bool)), 0.0, MASK_VALUE)
-        self_bias = self._tile_heads(self.dec_bias.bias_block(T), N)
+        self_bias = attn.tile_bias(self.dec_bias.bias_block(T), N)
         cross_mask = np.where(key_valid, 0.0, MASK_VALUE)[None, None, :]
         d = self.config.d_model
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import tensor as tz
 from .attention import (dense_structured_reference, full_attention,
-                        score_storage, structured_attention)
+                        score_storage, structured_attention, tile_bias)
 from .segments import (RelativeBiasTable, SegmentLayout, bias_for_layout,
                        build_full_mask, build_structured_mask,
                        permute_segments)
@@ -137,6 +137,9 @@ FUSED_CASES = (
     ("ragged", SegmentLayout(3, 3, (3, 1, 2, 2)), 1),
     ("k0", SegmentLayout(0, 3, (2,)), 2),
 )
+FUSED_HEADS, FUSED_HEAD_DIM = 2, 3
+# Largest allowed gap between a fused node and the composite oracle.
+FUSED_ORACLE_TOL = 1e-9
 
 
 def _squared_sum(fn):
@@ -150,10 +153,11 @@ def _value_and_grads(fn, tensors):
         t.grad = None
     loss, out = _squared_sum(fn)
     tz.backward(loss)
-    return [out.data] + [t.grad for t in tensors]
+    return [out.data] + [t.grad if t.grad is not None else np.zeros_like(t.data)
+                         for t in tensors]
 
 
-def check_fused_case(layout, prompts, seed=2, heads=2, d=3, rtol=1e-4):
+def check_fused_case(layout, prompts, seed=2, rtol=1e-4):
     """Both fused attention nodes against the composite oracle on one
     layout. The structured node gets its shared bias block, the full node
     the structured mask and bias placement, each tiled over `prompts`.
@@ -161,23 +165,19 @@ def check_fused_case(layout, prompts, seed=2, heads=2, d=3, rtol=1e-4):
     the oracle, worst gap between a node and the oracle over the output
     and the gradients of q, k, v and the bias table)."""
     rng = np.random.default_rng(seed)
-    shape = (prompts * heads, layout.total_length, d)
+    shape = (prompts * FUSED_HEADS, layout.total_length, FUSED_HEAD_DIM)
     q, k, v = (Tensor(rng.standard_normal(shape), requires_grad=True)
                for _ in range(3))
-    table = RelativeBiasTable(heads, num_buckets=8, max_distance=16,
+    table = RelativeBiasTable(FUSED_HEADS, num_buckets=8, max_distance=16,
                               rng=rng, init_std=0.5)
     tensors = [q, k, v, table.weights]
-
-    def tiled(bias):
-        return bias if prompts == 1 else tz.concat([bias] * prompts, axis=0)
-
     nodes = [
         lambda: structured_attention(
-            q, k, v, layout,
-            bias_block=tiled(table.bias_block(layout.segment_length))),
+            q, k, v, layout, bias_block=tile_bias(
+                table.bias_block(layout.segment_length), prompts)),
         lambda: full_attention(
-            q, k, v, build_structured_mask(layout),
-            tiled(bias_for_layout(table, layout, structured=True))),
+            q, k, v, build_structured_mask(layout), tile_bias(
+                bias_for_layout(table, layout, structured=True), prompts)),
     ]
 
     def oracle():
@@ -196,15 +196,15 @@ def check_fused_case(layout, prompts, seed=2, heads=2, d=3, rtol=1e-4):
     return worst_fd, worst_gap
 
 
-def attention_gradients(seed=2, rtol=1e-4, tol=1e-9):
+def attention_gradients(seed=2, rtol=1e-4):
     """Finite-difference and oracle checks of both fused attention nodes
     on every layout in FUSED_CASES. Passes when every finite-difference
-    relative error is within `rtol` and every oracle gap within `tol`;
-    also returns the worst of all of them."""
+    relative error is within `rtol` and every oracle gap within
+    FUSED_ORACLE_TOL; also returns the worst of all of them."""
     ok, worst = True, 0.0
     for _, layout, prompts in FUSED_CASES:
         fd, gap = check_fused_case(layout, prompts, seed=seed, rtol=rtol)
-        ok = ok and fd <= rtol and gap <= tol
+        ok = ok and fd <= rtol and gap <= FUSED_ORACLE_TOL
         worst = max(worst, fd, gap)
     return ok, worst
 
