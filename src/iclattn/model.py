@@ -13,6 +13,7 @@ synthetic task vocabularies start at 2.
 from __future__ import annotations
 
 import json
+import os
 import zlib
 from dataclasses import asdict, dataclass
 
@@ -34,6 +35,10 @@ class VocabularyOverflowError(ValueError):
 
 class ContinuationCountError(ValueError):
     """A continuation batch that does not split evenly over its episodes."""
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file that `EncoderDecoder.load` cannot trust."""
 
 
 @dataclass
@@ -153,32 +158,24 @@ class EncoderDecoder:
     def parameters(self):
         return self.params
 
-    def _heads_split(self, x):
-        H, dh = self.config.heads, self.config.head_dim
-        T = x.data.shape[0]
-        return tz.transpose(tz.reshape(x, (T, H, dh)), (1, 0, 2))
-
-    def _heads_merge(self, x):
-        H, T, dh = x.data.shape
-        return tz.reshape(tz.transpose(x, (1, 0, 2)), (T, H * dh))
-
-    def _project(self, x, prefix):
-        p = self.params
-        q = self._heads_split(tz.contract("td,de->te", x, p[f"{prefix}.wq"]))
-        k = self._heads_split(tz.contract("td,de->te", x, p[f"{prefix}.wk"]))
-        v = self._heads_split(tz.contract("td,de->te", x, p[f"{prefix}.wv"]))
+    # The projection helpers take one sequence (T, d) or a batch (B, T, d).
+    # A batch is folded into the head axis, so the attention kernels run
+    # once per layer instead of once per prompt.
+    def _project(self, x, prefix, kv_from=None):
+        p, H = self.params, self.config.heads
+        kv = x if kv_from is None else kv_from
+        q = tz.split_heads(tz.linear(x, p[f"{prefix}.wq"]), H)
+        k = tz.split_heads(tz.linear(kv, p[f"{prefix}.wk"]), H)
+        v = tz.split_heads(tz.linear(kv, p[f"{prefix}.wv"]), H)
         return q, k, v
 
-    def _out(self, z, prefix):
-        return tz.contract("td,de->te", self._heads_merge(z),
-                           self.params[f"{prefix}.wo"])
+    def _out(self, z, prefix, lead=()):
+        return tz.linear(tz.merge_heads(z, lead), self.params[f"{prefix}.wo"])
 
     def _ffn(self, x, prefix):
         p = self.params
-        h = tz.relu(tz.add(tz.contract("td,df->tf", x, p[f"{prefix}.w1"]),
-                           p[f"{prefix}.b1"]))
-        return tz.add(tz.contract("tf,fd->td", h, p[f"{prefix}.w2"]),
-                      p[f"{prefix}.b2"])
+        h = tz.relu(tz.linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
+        return tz.linear(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
     def _ln(self, x, prefix):
         p = self.params
@@ -237,13 +234,9 @@ class EncoderDecoder:
             x = tz.add(x, self._out(z, f"dec.{i}.self"))
 
             h = self._ln(x, f"dec.{i}.ln2")
-            p = self.params
-            q = self._heads_split(tz.contract("td,de->te", h, p[f"dec.{i}.cross.wq"]))
-            kk = self._heads_split(tz.contract("td,de->te", enc_out.states,
-                                               p[f"dec.{i}.cross.wk"]))
-            vv = self._heads_split(tz.contract("td,de->te", enc_out.states,
-                                               p[f"dec.{i}.cross.wv"]))
-            z = attn.full_attention(q, kk, vv, cross_mask)
+            z = attn.full_attention(
+                *self._project(h, f"dec.{i}.cross", kv_from=enc_out.states),
+                cross_mask)
             x = tz.add(x, self._out(z, f"dec.{i}.cross"))
             x = tz.add(x, self._ffn(self._ln(x, f"dec.{i}.ln3"), f"dec.{i}.ffn"))
         h = self._ln(x, "dec.final")
@@ -280,40 +273,6 @@ class EncoderDecoder:
         return int(np.argmax(self.candidate_logprobs(pack, candidates)))
 
     # -- batched forward (training fast path) --------------------------
-    # A batch of same-shape prompts is folded into the head axis, so the
-    # attention kernels run once per layer instead of once per episode.
-
-    def _heads_split_b(self, x):
-        B, T, _ = x.data.shape
-        H, dh = self.config.heads, self.config.head_dim
-        return tz.reshape(tz.transpose(tz.reshape(x, (B, T, H, dh)),
-                                       (0, 2, 1, 3)), (B * H, T, dh))
-
-    def _heads_merge_b(self, x, B):
-        _, T, dh = x.data.shape
-        H = self.config.heads
-        return tz.reshape(tz.transpose(tz.reshape(x, (B, H, T, dh)),
-                                       (0, 2, 1, 3)), (B, T, H * dh))
-
-    def _project_b(self, x, prefix, kv_from=None):
-        p = self.params
-        kv = x if kv_from is None else kv_from
-        q = self._heads_split_b(tz.contract("btd,de->bte", x, p[f"{prefix}.wq"]))
-        k = self._heads_split_b(tz.contract("btd,de->bte", kv, p[f"{prefix}.wk"]))
-        v = self._heads_split_b(tz.contract("btd,de->bte", kv, p[f"{prefix}.wv"]))
-        return q, k, v
-
-    def _out_b(self, z, prefix, B):
-        return tz.contract("btd,de->bte", self._heads_merge_b(z, B),
-                           self.params[f"{prefix}.wo"])
-
-    def _ffn_b(self, x, prefix):
-        p = self.params
-        h = tz.relu(tz.add(tz.contract("btd,df->btf", x, p[f"{prefix}.w1"]),
-                           p[f"{prefix}.b1"]))
-        return tz.add(tz.contract("btf,fd->btd", h, p[f"{prefix}.w2"]),
-                      p[f"{prefix}.b2"])
-
     def encode_batch(self, packs):
         """Encoder over a batch of packs sharing one layout. Returns
         (states (B, T, d), key_valid (T,))."""
@@ -335,14 +294,14 @@ class EncoderDecoder:
         x = self._mark_test(tz.embed(self.params["embed"], tokens), layout)
         for i in range(self.config.enc_layers):
             h = self._ln(x, f"enc.{i}.ln1")
-            qkv = self._project_b(h, f"enc.{i}.attn")
+            qkv = self._project(h, f"enc.{i}.attn")
             if structured:
                 z = attn.structured_attention(
                     *qkv, layout, bias_block=attn.tile_bias(bias, B))
             else:
                 z = attn.full_attention(*qkv, mask, attn.tile_bias(bias, B))
-            x = tz.add(x, self._out_b(z, f"enc.{i}.attn", B))
-            x = tz.add(x, self._ffn_b(self._ln(x, f"enc.{i}.ln2"), f"enc.{i}.ffn"))
+            x = tz.add(x, self._out(z, f"enc.{i}.attn", (B,)))
+            x = tz.add(x, self._ffn(self._ln(x, f"enc.{i}.ln2"), f"enc.{i}.ffn"))
         return self._ln(x, "enc.final"), layout.key_valid()
 
     def batch_logprob_sum(self, states, key_valid, continuations):
@@ -378,16 +337,16 @@ class EncoderDecoder:
         x = tz.embed(self.params["embed"], dec_in)
         for i in range(self.config.dec_layers):
             h = self._ln(x, f"dec.{i}.ln1")
-            z = attn.full_attention(*self._project_b(h, f"dec.{i}.self"),
+            z = attn.full_attention(*self._project(h, f"dec.{i}.self"),
                                     causal[None, :, :], self_bias)
-            x = tz.add(x, self._out_b(z, f"dec.{i}.self", N))
+            x = tz.add(x, self._out(z, f"dec.{i}.self", (N,)))
             h = tz.reshape(self._ln(x, f"dec.{i}.ln2"), (E, N // E * T, d))
             z = attn.full_attention(
-                *self._project_b(h, f"dec.{i}.cross", kv_from=states),
+                *self._project(h, f"dec.{i}.cross", kv_from=states),
                 cross_mask)
-            z = tz.reshape(self._out_b(z, f"dec.{i}.cross", E), (N, T, d))
+            z = tz.reshape(self._out(z, f"dec.{i}.cross", (E,)), (N, T, d))
             x = tz.add(x, z)
-            x = tz.add(x, self._ffn_b(self._ln(x, f"dec.{i}.ln3"), f"dec.{i}.ffn"))
+            x = tz.add(x, self._ffn(self._ln(x, f"dec.{i}.ln3"), f"dec.{i}.ffn"))
         h = self._ln(x, "dec.final")
         logits = tz.contract("btd,vd->btv", h, self.params["out"])
         picked = tz.gather_last(tz.log_softmax_last(logits), ys)
@@ -396,24 +355,62 @@ class EncoderDecoder:
     # -- checkpointing -------------------------------------------------
     def save(self, path):
         """Versioned container: JSON config header + named float64 blobs.
-        Round-trips bit-exactly."""
+        Round-trips bit-exactly. Like `np.savez`, appends `.npz` to a path
+        without it. The file is written under a temporary name in the same
+        directory and then renamed into place, so a failed save leaves an
+        earlier checkpoint at `path` whole."""
+        path = os.fspath(path)
+        if not path.endswith(".npz"):
+            path += ".npz"
         arrays = {name: t.data for name, t in self.params.items()}
         header = {"version": CHECKPOINT_VERSION, "config": asdict(self.config)}
-        np.savez(path, __header__=np.frombuffer(
-            json.dumps(header).encode(), dtype=np.uint8), **arrays)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                np.savez(fh, __header__=np.frombuffer(
+                    json.dumps(header).encode(), dtype=np.uint8), **arrays)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
     @classmethod
     def load(cls, path):
+        """Rebuild a model from a `save` file. Raises CheckpointError when
+        the header is missing or of another version, or when an array is
+        missing, unexpected, of the wrong shape for the config, or not
+        finite."""
         with np.load(path) as blob:
+            if "__header__" not in blob.files:
+                raise CheckpointError(f"{path}: no checkpoint header")
             header = json.loads(bytes(blob["__header__"].tobytes()).decode())
             if header.get("version") != CHECKPOINT_VERSION:
-                raise ValueError(f"unsupported checkpoint version: {header.get('version')}")
+                raise CheckpointError(
+                    f"unsupported checkpoint version: {header.get('version')}")
             config = dict(header["config"])
             # older checkpoints record a `dropout` field that was never active
             config.pop("dropout", None)
             model = cls(ModelConfig(**config))
+            stored = set(blob.files) - {"__header__"}
+            missing = sorted(model.params.keys() - stored)
+            if missing:
+                raise CheckpointError(f"{path}: missing arrays {missing}")
+            extra = sorted(stored - model.params.keys())
+            if extra:
+                raise CheckpointError(f"{path}: unexpected arrays {extra}")
             for name, t in model.params.items():
-                t.data = blob[name].astype(np.float64)
+                arr = blob[name]
+                if arr.shape != t.data.shape:
+                    raise CheckpointError(
+                        f"{path}: array {name!r} has shape {arr.shape}, "
+                        f"the config needs {t.data.shape}")
+                arr = arr.astype(np.float64)
+                if not np.isfinite(arr).all():
+                    raise CheckpointError(
+                        f"{path}: array {name!r} holds non-finite values")
+                t.data = arr
         return model
 
     def weight_fingerprint(self):

@@ -5,17 +5,19 @@ what `add`/`mul` need for bias terms. The graph is recorded implicitly:
 each result tensor keeps its parents and a backward closure, and
 `backward()` replays them in reverse topological order.
 
-Tensors are immutable after construction (the optimizer mutates `.data`
-in place as the single writer during training). One backward graph per
+Tensors are immutable after construction (the optimizer rebinds each
+parameter's `.data` to a view of its flat buffer once, then writes it in
+place as the single writer during training). One backward graph per
 thread; graphs are never shared.
 
 Gradient ownership: a gradient array may be shared between tensors (`add`
-hands one array to both operands; `reshape`, `transpose` and `concat` hand
-out views), so no gradient array is ever written in place. A second
-contribution is summed into a fresh array, and callers that rescale
-`.grad` rebind it. Constants (neither requiring grad nor produced by a
-tracked op) receive no gradient. A non-leaf node's gradient is released
-as soon as its backward closure has run; only leaves keep theirs.
+hands one array to both operands; `reshape`, `transpose`, `concat` and the
+head split and merge can hand out views), so no gradient array is ever
+written in place. A second contribution is summed into a fresh array, and
+callers that rescale `.grad` rebind it. Constants (neither requiring grad
+nor produced by a tracked op) receive no gradient. A non-leaf node's
+gradient is released as soon as its backward closure has run; only leaves
+keep theirs.
 """
 
 from __future__ import annotations
@@ -296,13 +298,70 @@ def contract(spec, a, b):
     return _result(data, (a, b), back)
 
 
+def linear(x, w, b=None):
+    """x @ w (+ b) over the last axis of `x`, as one node: the leading
+    axes are flattened into the rows of a single 2-D matmul."""
+    din, dout = w.data.shape
+    if x.data.shape[-1] != din:
+        raise ShapeMismatchError(
+            f"linear: input width {x.data.shape[-1]} against weight rows {din}")
+    rows = x.data.reshape(-1, din)
+    y = rows @ w.data
+    if b is not None:
+        y += b.data
+    data = y.reshape(x.data.shape[:-1] + (dout,))
+
+    def back(g):
+        g = g.reshape(-1, dout)
+        if _tracked(x):
+            _accumulate(x, (g @ w.data.T).reshape(x.data.shape))
+        if _tracked(w):
+            _accumulate(w, rows.T @ g)
+        if b is not None and _tracked(b):
+            _accumulate(b, g.sum(axis=0))
+    return _result(data, (x, w) if b is None else (x, w, b), back)
+
+
+def split_heads(x, H):
+    """(..., T, H*dh) -> (N*H, T, dh) as one node, where N is the product
+    of the leading axes (1 for a 2-D input). The result is contiguous, as
+    the attention nodes expect."""
+    *lead, T, D = x.data.shape
+    n, dh = int(np.prod(lead, dtype=np.int64)), D // H
+    data = np.ascontiguousarray(
+        x.data.reshape(n, T, H, dh).transpose(0, 2, 1, 3)).reshape(n * H, T, dh)
+
+    def back(g):
+        _accumulate(x, g.reshape(n, H, T, dh).transpose(0, 2, 1, 3)
+                    .reshape(x.data.shape))
+    return _result(data, (x,), back)
+
+
+def merge_heads(z, lead):
+    """Inverse of `split_heads`: (N*H, T, dh) -> lead + (T, H*dh), where
+    `lead` is the leading shape of the split input ((B,), or () for a
+    single 2-D sequence)."""
+    NH, T, dh = z.data.shape
+    n = int(np.prod(lead, dtype=np.int64))
+    H = NH // n
+    data = np.ascontiguousarray(
+        z.data.reshape(n, H, T, dh).transpose(0, 2, 1, 3)).reshape(
+            tuple(lead) + (T, H * dh))
+
+    def back(g):
+        _accumulate(z, np.ascontiguousarray(
+            g.reshape(n, T, H, dh).transpose(0, 2, 1, 3)).reshape(NH, T, dh))
+    return _result(data, (z,), back)
+
+
 def _softmax_inplace(s):
     """Softmax along the last axis of float array `s`, written over it.
     Rows consisting entirely of mask values become all zeros instead of
     NaN. Shared by `softmax_last` and the fused attention nodes."""
-    if np.isnan(s).any():
-        raise ValueError("softmax_last: NaN in input")
     m = s.max(axis=-1, keepdims=True)
+    # max propagates NaN, so the row maxima stand in for a full scan
+    if np.isnan(m).any():
+        raise ValueError("softmax_last: NaN in input")
     np.subtract(s, m, out=s)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)

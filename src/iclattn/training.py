@@ -65,31 +65,91 @@ def lr_schedule(step, cfg):
     return cfg.lr * (cfg.steps - step) / (cfg.steps - warmup)
 
 
+# Elements per Adam update chunk. Gradients are gathered, and the update
+# runs, one chunk at a time through three scratch arrays of this size: a
+# whole-buffer gradient copy raised the desk-scale benchmark's peak RSS
+# by 2.9 MB (4.5%), as each of its set-ups holds a model and optimizer.
+# 16384 was the fastest of 4096-32768 for the default model.
+_ADAM_CHUNK = 16384
+
+
 class Adam:
+    """Adam over one flat parameter buffer.
+
+    The constructor copies the parameters it is given into one contiguous
+    float64 buffer and rebinds each `.data` to a view of it; a later
+    rebinding of `.data` detaches that parameter from the optimizer. Each
+    step walks the runs of consecutive parameters that have a gradient and
+    updates them a chunk at a time. A parameter whose `.grad` is None gets
+    neither a moment decay nor an update."""
+
     def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {n: np.zeros_like(p.data) for n, p in params.items()}
-        self.v = {n: np.zeros_like(p.data) for n, p in params.items()}
+        self.flat = np.empty(sum(p.data.size for p in params.values()))
+        self._spans = []        # (param, start, stop) within `flat`
+        start = 0
+        for p in params.values():
+            stop = start + p.data.size
+            view = self.flat[start:stop].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            self._spans.append((p, start, stop))
+            start = stop
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        chunk = min(_ADAM_CHUNK, self.flat.size)
+        self._scratch = tuple(np.empty(chunk) for _ in range(3))
 
     def step(self, lr):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        corr1 = 1 - b1 ** self.t
-        corr2 = 1 - b2 ** self.t
-        for n, p in self.params.items():
+        corr = (1 - self.beta1 ** self.t, 1 - self.beta2 ** self.t)
+        g = self._scratch[2]
+        a = n = 0               # g[:n] holds the gradient of flat[a:a + n]
+        for p, start, stop in self._spans:
+            size = stop - start
+            if n and (p.grad is None or n + size > _ADAM_CHUNK):
+                self._update(a, n, lr, *corr)
+                n = 0
             if p.grad is None:
                 continue
-            g = p.grad
-            m, v = self.m[n], self.v[n]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            mh = m / corr1
-            vh = v / corr2
-            p.data -= lr * mh / (np.sqrt(vh) + self.eps)
+            if size > _ADAM_CHUNK:      # a large parameter goes alone, in pieces
+                flat_grad = p.grad.reshape(-1)
+                for i in range(0, size, _ADAM_CHUNK):
+                    j = min(i + _ADAM_CHUNK, size)
+                    g[:j - i] = flat_grad[i:j]
+                    self._update(start + i, j - i, lr, *corr)
+                continue
+            if not n:
+                a = start
+            np.copyto(g[n:n + size].reshape(p.data.shape), p.grad)
+            n += size
+        if n:
+            self._update(a, n, lr, *corr)
+
+    def _update(self, a, n, lr, corr1, corr2):
+        """Adam on flat[a:a + n], whose gradient is in the scratch array:
+        the operations, in their order, of
+        m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
+        w -= lr (m / corr1) / (sqrt(v / corr2) + eps)."""
+        b1, b2 = self.beta1, self.beta2
+        m, v = self.m[a:a + n], self.v[a:a + n]
+        s1, s2, g = (s[:n] for s in self._scratch)
+        m *= b1
+        np.multiply(g, 1 - b1, out=s1)
+        m += s1
+        v *= b2
+        np.multiply(g, 1 - b2, out=s1)
+        s1 *= g
+        v += s1
+        np.divide(v, corr2, out=s1)
+        np.sqrt(s1, out=s1)
+        s1 += self.eps
+        np.divide(m, corr1, out=s2)
+        s2 *= lr
+        s2 /= s1
+        self.flat[a:a + n] -= s2
 
     def zero_grad(self):
         for p in self.params.values():
@@ -194,7 +254,8 @@ def grad_norm(params):
     total = 0.0
     for p in params.values():
         if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
+            g = p.grad.reshape(-1)
+            total += float(np.dot(g, g))
     return np.sqrt(total)
 
 

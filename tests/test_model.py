@@ -8,8 +8,9 @@ import pytest
 
 from iclattn.fusion import PromptPack
 from iclattn.model import (BOS_ID, CHECKPOINT_VERSION, PAD_ID,
-                           ContinuationCountError, EncoderDecoder,
-                           ModelConfig, VocabularyOverflowError)
+                           CheckpointError, ContinuationCountError,
+                           EncoderDecoder, ModelConfig,
+                           VocabularyOverflowError)
 
 
 def make_pack(demos, test, score, fmt="direct"):
@@ -220,6 +221,55 @@ class TestCheckpoint:
         cands = [(7,), (8,), (9,)]
         np.testing.assert_array_equal(m.candidate_logprobs(pack, cands),
                                       m2.candidate_logprobs(pack, cands))
+
+    @staticmethod
+    def _drop_array(arrays):
+        del arrays["dec.0.ffn.w1"]
+
+    @staticmethod
+    def _cut_embed(arrays):
+        arrays["embed"] = arrays["embed"][:3]
+
+    @staticmethod
+    def _nan_weight(arrays):
+        arrays["enc.0.attn.wq"][0, 1] = np.nan
+
+    @staticmethod
+    def _add_array(arrays):
+        arrays["stray"] = np.zeros(2)
+
+    @pytest.mark.parametrize("edit,match", [
+        ("_drop_array", r"missing arrays \['dec.0.ffn.w1'\]"),
+        ("_cut_embed", r"'embed' has shape \(3, 16\)"),
+        ("_nan_weight", r"'enc.0.attn.wq' holds non-finite"),
+        ("_add_array", r"unexpected arrays \['stray'\]"),
+    ], ids=["missing", "wrong_shape", "nan", "extra"])
+    def test_untrustworthy_checkpoint_raises(self, tmp_path, edit, match):
+        path = os.path.join(tmp_path, "ckpt.npz")
+        small_model(seed=7).save(path)
+        with np.load(path) as blob:
+            arrays = {name: blob[name] for name in blob.files}
+        getattr(self, edit)(arrays)
+        np.savez(path, **arrays)
+        with pytest.raises(CheckpointError, match=match):
+            EncoderDecoder.load(path)
+
+    def test_failed_save_leaves_previous_checkpoint(self, tmp_path,
+                                                    monkeypatch):
+        m = small_model(seed=8)
+        path = os.path.join(tmp_path, "ckpt")
+        m.save(path)            # named like np.savez: ckpt.npz
+
+        def broken_savez(fh, **arrays):
+            fh.write(b"truncated")
+            raise OSError("disk full")
+        monkeypatch.setattr(np, "savez", broken_savez)
+        with pytest.raises(OSError, match="disk full"):
+            small_model(seed=9).save(path)
+        monkeypatch.undo()
+        assert os.listdir(tmp_path) == ["ckpt.npz"]
+        loaded = EncoderDecoder.load(path + ".npz")
+        assert loaded.weight_fingerprint() == m.weight_fingerprint()
 
     def test_fingerprint_changes_with_weights(self):
         m = small_model(seed=5)

@@ -152,6 +152,12 @@ def test_every_primitive_passes_finite_differences(seed):
     table = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
     ids = rng.integers(0, 5, size=6)
     pick = rng.integers(0, 4, size=3)
+    u = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+    c = Tensor(rng.standard_normal(5), requires_grad=True)
+    heads = Tensor(rng.standard_normal((4, 3, 2)), requires_grad=True)
+    split_weight = tz.constant(rng.standard_normal((4, 3, 2)))
+    merge_weight = tz.constant(rng.standard_normal((2, 3, 4)))
 
     cases = {
         "add": lambda: tz.tsum(tz.mul(tz.add(x, y), tz.add(x, y))),
@@ -168,12 +174,61 @@ def test_every_primitive_passes_finite_differences(seed):
         "embed": lambda: tz.tsum(tz.mul(tz.embed(table, ids), tz.embed(table, ids))),
         "gather": lambda: tz.tsum(tz.gather_last(tz.mul(x, x), pick)),
         "layer_norm": lambda: tz.tsum(tz.mul(tz.layer_norm(x, g, b), y)),
+        "linear": lambda: tz.tsum(tz.mul(tz.linear(u, w), tz.linear(u, w))),
+        "linear_bias": lambda: tz.tsum(tz.mul(tz.linear(u, w, c),
+                                              tz.linear(u, w, c))),
+        "split_heads": lambda: tz.tsum(tz.mul(tz.split_heads(u, 2),
+                                              split_weight)),
+        "merge_heads": lambda: tz.tsum(tz.mul(tz.merge_heads(heads, (2,)),
+                                              merge_weight)),
     }
+    extra = {"linear": [u, w], "linear_bias": [u, w, c], "split_heads": [u],
+             "merge_heads": [heads]}
     for name, fn in cases.items():
         tensors = [x, y] if name not in ("embed", "layer_norm") else \
             ([table] if name == "embed" else [x, g, b])
+        tensors = extra.get(name, tensors)
         ok, worst = grad_check(fn, tensors)
         assert ok, f"{name}: relative error {worst} (seed {seed})"
+
+
+class TestLinear:
+    @pytest.mark.parametrize("bias", [False, True], ids=["plain", "bias"])
+    def test_matches_contract_plus_add(self, bias):
+        rng = np.random.default_rng(13)
+        x, w, b = (Tensor(rng.standard_normal(shape), requires_grad=True)
+                   for shape in ((2, 3, 4), (4, 5), (5,)))
+        weight = tz.constant(rng.standard_normal((2, 3, 5)))
+        ref = tz.contract("btd,de->bte", x, w)
+        if bias:
+            ref = tz.add(ref, b)
+        tz.backward(tz.tsum(tz.mul(ref, weight)))
+        want = [t.grad for t in (x, w, b)]
+        for t in (x, w, b):
+            t.grad = None
+        got = tz.linear(x, w, b if bias else None)
+        tz.backward(tz.tsum(tz.mul(got, weight)))
+        np.testing.assert_allclose(got.data, ref.data, rtol=0, atol=1e-12)
+        for t, g in zip((x, w, b), want):
+            if g is None:
+                assert t.grad is None
+            else:
+                np.testing.assert_allclose(t.grad, g, rtol=0, atol=1e-12)
+
+    def test_width_mismatch_raises(self):
+        with pytest.raises(tz.ShapeMismatchError, match="width 3"):
+            tz.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+
+
+def test_split_and_merge_heads_are_inverse_layouts():
+    x = np.arange(2 * 3 * 4.0).reshape(2, 3, 4)
+    split = tz.split_heads(Tensor(x), 2)
+    np.testing.assert_array_equal(
+        split.data, x.reshape(2, 3, 2, 2).transpose(0, 2, 1, 3).reshape(4, 3, 2))
+    np.testing.assert_array_equal(tz.merge_heads(split, (2,)).data, x)
+    single = tz.split_heads(Tensor(x[0]), 2)
+    np.testing.assert_array_equal(single.data, split.data[:2])
+    np.testing.assert_array_equal(tz.merge_heads(single, ()).data, x[0])
 
 
 def test_rank0_scalar_becomes_shape_1():

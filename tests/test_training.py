@@ -253,6 +253,46 @@ class TestOptimizers:
                 np.testing.assert_array_equal(p.data, ref[n])
                 np.testing.assert_array_equal(p.grad, grads[n])
 
+    def test_adam_packs_parameters_into_one_buffer(self):
+        model = tiny_model()
+        params = model.parameters()
+        before = {n: p.data.copy() for n, p in params.items()}
+        opt = Adam(params)
+        assert opt.flat.ndim == 1 and opt.flat.flags.c_contiguous
+        assert opt.flat.size == sum(a.size for a in before.values())
+        for n, p in params.items():
+            assert p.data.base is opt.flat, n
+            np.testing.assert_array_equal(p.data, before[n])
+
+    def test_adam_leaves_parameter_without_gradient_untouched(self):
+        """A parameter with no gradient keeps its weights and its moments;
+        the others follow the reference formula, "d" across the boundary
+        between two update chunks."""
+        rng = np.random.default_rng(14)
+        shapes = {"a": (3, 4), "b": (5,), "c": (2, 3), "d": (3, 10000)}
+        params = {n: tz.Tensor(rng.standard_normal(s), requires_grad=True)
+                  for n, s in shapes.items()}
+        opt = Adam(params)
+        b1, b2, eps, lr = opt.beta1, opt.beta2, opt.eps, 1e-2
+        ref = {n: params[n].data.copy() for n in ("a", "c", "d")}
+        m = {n: np.zeros(shapes[n]) for n in ref}
+        v = {n: np.zeros(shapes[n]) for n in ref}
+        frozen = params["b"].data.copy()
+        for t in range(1, 4):
+            for n in ref:
+                g = params[n].grad = rng.standard_normal(shapes[n])
+                m[n] = b1 * m[n] + (1 - b1) * g
+                v[n] = b2 * v[n] + (1 - b2) * g * g
+                ref[n] -= lr * (m[n] / (1 - b1 ** t)) / (
+                    np.sqrt(v[n] / (1 - b2 ** t)) + eps)
+            params["b"].grad = None
+            opt.step(lr)
+        np.testing.assert_array_equal(params["b"].data, frozen)
+        # "b" follows the 12 entries of "a" in the flat buffer
+        assert not opt.m[12:17].any() and not opt.v[12:17].any()
+        for n in ref:
+            np.testing.assert_array_equal(params[n].data, ref[n], err_msg=n)
+
     def test_adafactor_factored_state_for_matrices(self):
         p = tz.Tensor(np.ones((4, 6)), requires_grad=True)
         opt = Adafactor({"p": p})
