@@ -2,7 +2,7 @@
 dense/FiD/ensemble fusion baselines and a scaling benchmark."""
 
 from .attention import full_attention, score_storage, structured_attention
-from .model import CandidateSet, EncoderDecoder, ModelConfig
+from .model import EncoderDecoder, ModelConfig
 from .segments import (AttentionMask, RelativeBiasTable, SegmentLayout,
                        bias_for_layout, build_full_mask,
                        build_structured_mask, permute_segments,
@@ -10,7 +10,7 @@ from .segments import (AttentionMask, RelativeBiasTable, SegmentLayout,
 from .tensor import Tensor, backward, contract, softmax_last
 
 __all__ = [
-    "AttentionMask", "CandidateSet", "EncoderDecoder",
+    "AttentionMask", "EncoderDecoder",
     "ModelConfig", "RelativeBiasTable", "SegmentLayout", "Tensor",
     "backward", "bias_for_layout", "build_full_mask",
     "build_structured_mask", "contract", "full_attention",

@@ -18,11 +18,9 @@ import sys
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-import numpy as np  # noqa: E402
-
 from . import bench as bench_mod  # noqa: E402
 from . import tasks, training, verify  # noqa: E402
-from .fusion import FusionPlan, fused_predict  # noqa: E402
+from .fusion import FusionPlan  # noqa: E402
 from .model import EncoderDecoder, ModelConfig  # noqa: E402
 
 SEED_ENV = "ICLATTN_SEED"
@@ -96,7 +94,8 @@ def build_parser():
     p.add_argument("--variant", default="structured", choices=("structured", "full"))
     p.add_argument("--scheme", default="single",
                    choices=("single", "fid", "group-fid", "ensemble"))
-    p.add_argument("--groups", type=int, default=1)
+    p.add_argument("--groups", type=int, default=1,
+                   help="demonstration groups for group-fid and ensemble")
     p.add_argument("--format", dest="fmt", default="direct",
                    choices=("direct", "channel"))
     p.add_argument("--test-k", type=int, default=8)
@@ -151,36 +150,39 @@ def cmd_train(args):
                              progress=max(1, cfg.steps // 20))
     print(f"final loss: {history[-1]:.4f}")
     if args.checkpoint:
-        model.save(args.checkpoint)
-        print(f"checkpoint written to {args.checkpoint}")
+        print(f"checkpoint written to {model.save(args.checkpoint)}")
     return 0
 
 
+def _groups_error(scheme, groups, test_k):
+    """The usage error in `--groups` for this scheme, or None. FiD
+    always encodes one demonstration per group, so it ignores the flag."""
+    if groups < 1:
+        return f"--groups must be >= 1, got {groups}"
+    if scheme == "single" and groups != 1:
+        return f"--groups {groups} needs --scheme group-fid or ensemble"
+    if scheme in ("group_fid", "ensemble") and groups > test_k:
+        return f"--groups {groups} exceeds the {test_k} demonstrations (--test-k)"
+    return None
+
+
 def cmd_eval(args):
+    scheme = args.scheme.replace("-", "_")
+    error = _groups_error(scheme, args.groups, args.test_k)
+    if error:
+        print(f"iclattn eval: error: {error}", file=sys.stderr)
+        return 2
     family = tasks.make_family(args.family)
     if args.checkpoint:
         model = EncoderDecoder.load(args.checkpoint)
     else:
         model = _model_for(args, args.variant)
-    scheme = args.scheme.replace("-", "_")
+    plan = FusionPlan(scheme, args.groups if scheme != "fid" else 1)
     seed0 = _seed_override(args.seed)
-    if scheme == "single":
-        result = training.evaluate(model, family, args.test_k,
-                                   episodes=args.episodes,
-                                   seeds=tuple(seed0 + s for s in range(args.seeds)),
-                                   l_max=args.l_max, fmt=args.fmt)
-    else:
-        plan = FusionPlan(scheme, args.groups if scheme != "fid" else 1)
-        accs = []
-        for s in range(args.seeds):
-            hits = 0
-            for i in range(args.episodes):
-                ep = family.sample_episode(args.test_k, (seed0 + s) * 1_000_003 + i)
-                pred = fused_predict(model, ep.demos, ep.test, ep.test.options,
-                                     plan, args.l_max, fmt=args.fmt)
-                hits += int(list(ep.test.options[pred]) == list(ep.test.y))
-            accs.append(hits / args.episodes)
-        result = training.EvalResult(accs, float(np.mean(accs)), float(np.std(accs)))
+    result = training.evaluate(model, family, args.test_k,
+                               episodes=args.episodes,
+                               seeds=tuple(seed0 + s for s in range(args.seeds)),
+                               l_max=args.l_max, fmt=args.fmt, plan=plan)
     per_seed = ", ".join(f"{a:.3f}" for a in result.per_seed)
     print(f"accuracy: {result.mean:.3f} +- {result.std:.3f}  (per seed: {per_seed})")
     return 0

@@ -164,11 +164,6 @@ def fid_encode(model, demos, test, l_max, fmt="direct"):
                             l_max=l_max, fmt=fmt)
 
 
-def _group_logprobs(model, group_demos, test, candidates, l_max, fmt, k_budget):
-    pack = pack_prompt(group_demos, test, k=k_budget, l_max=l_max, fmt=fmt)
-    return model.candidate_logprobs(pack, candidates)
-
-
 def fused_logprobs(model, demos, test, candidates, plan, l_max, fmt="direct",
                    k_budget=None):
     """Per-candidate log-probability scores under a fusion plan."""
@@ -180,8 +175,9 @@ def fused_logprobs(model, demos, test, candidates, plan, l_max, fmt="direct",
     if plan.scheme == "ensemble":
         parts = split_groups(len(demos), plan.groups)
         per_group = [
-            _group_logprobs(model, [demos[i] for i in part], test, candidates,
-                            l_max, fmt, max(len(part), 1))
+            model.candidate_logprobs(
+                pack_prompt([demos[i] for i in part], test, k=len(part),
+                            l_max=l_max, fmt=fmt), candidates)
             for part in parts
         ]
         # mean of log-probabilities, fixed summation order
@@ -206,15 +202,7 @@ def replace_test_answer(test, y):
                        options=test.options)
 
 
-def ensemble_predict(model, demos, test, candidates, groups, l_max,
-                     fmt="direct"):
-    """Average per-group candidate log-probs, then argmax (lowest index
-    wins ties)."""
-    plan = FusionPlan("ensemble", groups)
-    scores = fused_logprobs(model, demos, test, candidates, plan, l_max, fmt)
-    return int(np.argmax(scores))
-
-
 def fused_predict(model, demos, test, candidates, plan, l_max, fmt="direct"):
+    """Index of the best-scoring candidate; ties go to the lowest index."""
     scores = fused_logprobs(model, demos, test, candidates, plan, l_max, fmt)
     return int(np.argmax(scores))

@@ -71,21 +71,11 @@ class ModelConfig:
         return self.d_model // self.heads
 
 
-@dataclass
-class CandidateSet:
-    """Tokenized candidate continuations to score against each other."""
-
-    candidates: list
-
-    def __post_init__(self):
-        if any(len(c) == 0 for c in self.candidates):
-            raise ValueError("candidates must be non-empty token sequences")
-
-    def __len__(self):
-        return len(self.candidates)
-
-    def __iter__(self):
-        return iter(self.candidates)
+def _checkpoint_path(path):
+    """The file a checkpoint named `path` lives in: like `np.savez`,
+    `.npz` is appended to a path without it."""
+    path = os.fspath(path)
+    return path if path.endswith(".npz") else path + ".npz"
 
 
 @dataclass
@@ -158,9 +148,8 @@ class EncoderDecoder:
     def parameters(self):
         return self.params
 
-    # The projection helpers take one sequence (T, d) or a batch (B, T, d).
-    # A batch is folded into the head axis, so the attention kernels run
-    # once per layer instead of once per prompt.
+    # The projection helpers take a batch (B, T, d), folded into the head
+    # axis, so the attention kernels run once per layer, not per prompt.
     def _project(self, x, prefix, kv_from=None):
         p, H = self.params, self.config.heads
         kv = x if kv_from is None else kv_from
@@ -169,7 +158,7 @@ class EncoderDecoder:
         v = tz.split_heads(tz.linear(kv, p[f"{prefix}.wv"]), H)
         return q, k, v
 
-    def _out(self, z, prefix, lead=()):
+    def _out(self, z, prefix, lead):
         return tz.linear(tz.merge_heads(z, lead), self.params[f"{prefix}.wo"])
 
     def _ffn(self, x, prefix):
@@ -186,104 +175,23 @@ class EncoderDecoder:
         flag[layout.num_demos * layout.segment_length:] = 1.0
         return tz.add(x, tz.mul(self.params["test_marker"], tz.constant(flag)))
 
-    def _encoder_attention(self, x, layout):
-        if self.config.variant == "structured":
-            bias = self.enc_bias.bias_block(layout.segment_length)
-            return attn.structured_attention(*x, layout, bias_block=bias)
-        mask = build_full_mask(layout)
-        bias = self.enc_bias.bias_global(layout.total_length)
-        return attn.full_attention(*x, mask, bias)
+    def _check_tokens(self, tokens):
+        """The one token-range check of the encoder and the decoder."""
+        lo, hi = tokens.min(initial=0), tokens.max(initial=0)
+        if lo < 0 or hi >= self.config.vocab:
+            raise VocabularyOverflowError(
+                f"token id {lo if lo < 0 else hi} outside [0, "
+                f"{self.config.vocab})")
 
     # -- forward passes ------------------------------------------------
-    def encode(self, pack):
-        """Run the encoder over a packed prompt. Returns EncoderOutput."""
-        tokens = pack.padded_tokens()
-        layout = pack.layout()
-        if tokens.max(initial=0) >= self.config.vocab:
-            raise VocabularyOverflowError(
-                f"token id {tokens.max()} >= vocab {self.config.vocab}")
-        x = self._mark_test(tz.embed(self.params["embed"], tokens), layout)
-        for i in range(self.config.enc_layers):
-            h = self._ln(x, f"enc.{i}.ln1")
-            z = self._encoder_attention(self._project(h, f"enc.{i}.attn"),
-                                        layout)
-            x = tz.add(x, self._out(z, f"enc.{i}.attn"))
-            x = tz.add(x, self._ffn(self._ln(x, f"enc.{i}.ln2"), f"enc.{i}.ffn"))
-        states = self._ln(x, "enc.final")
-        return EncoderOutput(states, layout.key_valid())
-
-    def decode_logits(self, enc_out, continuation):
-        """Teacher-forced decoder logits (|y|, vocab) for a continuation."""
-        y = list(continuation)
-        if not y:
-            raise ValueError("continuation must be non-empty")
-        if max(y) >= self.config.vocab:
-            raise VocabularyOverflowError(
-                f"token id {max(y)} >= vocab {self.config.vocab}")
-        dec_in = np.array([BOS_ID] + y[:-1], dtype=np.int64)
-        T = len(dec_in)
-        causal = np.where(np.tril(np.ones((T, T), dtype=bool)), 0.0, MASK_VALUE)
-        self_bias = self.dec_bias.bias_block(T)
-        cross_mask = np.where(enc_out.key_valid, 0.0, MASK_VALUE)[None, None, :]
-
-        x = tz.embed(self.params["embed"], dec_in)
-        for i in range(self.config.dec_layers):
-            h = self._ln(x, f"dec.{i}.ln1")
-            z = attn.full_attention(*self._project(h, f"dec.{i}.self"),
-                                    causal[None, :, :], self_bias)
-            x = tz.add(x, self._out(z, f"dec.{i}.self"))
-
-            h = self._ln(x, f"dec.{i}.ln2")
-            z = attn.full_attention(
-                *self._project(h, f"dec.{i}.cross", kv_from=enc_out.states),
-                cross_mask)
-            x = tz.add(x, self._out(z, f"dec.{i}.cross"))
-            x = tz.add(x, self._ffn(self._ln(x, f"dec.{i}.ln3"), f"dec.{i}.ffn"))
-        h = self._ln(x, "dec.final")
-        return tz.contract("td,vd->tv", h, self.params["out"])
-
-    def sequence_logprob(self, enc_out, continuation):
-        """Scalar tensor: sum of log p(y_t | y_<t, encoder states)."""
-        logits = self.decode_logits(enc_out, continuation)
-        logp = tz.log_softmax_last(logits)
-        picked = tz.gather_last(logp, np.asarray(continuation, dtype=np.int64))
-        return tz.tsum(picked)
-
-    def candidate_logprobs(self, pack, candidates):
-        """Log-probability score per candidate under the pack's format.
-
-        Direct: encode once, score each candidate as the continuation.
-        Channel: the candidate becomes the final encoder segment and the
-        stored test input is scored as the continuation.
-        """
-        if pack.format == "direct":
-            enc = self.encode(pack)
-            return np.array([self.sequence_logprob(enc, c).item()
-                             for c in candidates])
-        scores = []
-        for c in candidates:
-            enc = self.encode(pack.with_test_segment(list(c)))
-            scores.append(self.sequence_logprob(enc, pack.score_tokens).item())
-        return np.array(scores)
-
-    def predict(self, pack, candidates):
-        """Index of the argmax candidate; ties go to the lowest index."""
-        if len(candidates) == 0:
-            raise ValueError("need at least one candidate")
-        return int(np.argmax(self.candidate_logprobs(pack, candidates)))
-
-    # -- batched forward (training fast path) --------------------------
-    def encode_batch(self, packs):
-        """Encoder over a batch of packs sharing one layout. Returns
-        (states (B, T, d), key_valid (T,))."""
-        layout = packs[0].layout()
-        if any(p.layout() != layout for p in packs[1:]):
-            raise ValueError("encode_batch needs identical layouts")
-        B = len(packs)
-        tokens = np.stack([p.padded_tokens() for p in packs])
-        if tokens.max(initial=0) >= self.config.vocab:
-            raise VocabularyOverflowError(
-                f"token id {tokens.max()} >= vocab {self.config.vocab}")
+    # One encoder body and one decoder body, on the batched layout. The
+    # public entries below each call a body directly, never each other, so
+    # each public call is one encoder or decoder pass.
+    def _encoder(self, tokens, layout):
+        """Encoder layers over (B, T) token ids of B prompts sharing
+        `layout`. Returns the states (B, T, d)."""
+        self._check_tokens(tokens)
+        B = tokens.shape[0]
         structured = self.config.variant == "structured"
         if structured:
             bias = self.enc_bias.bias_block(layout.segment_length)
@@ -302,27 +210,23 @@ class EncoderDecoder:
                 z = attn.full_attention(*qkv, mask, attn.tile_bias(bias, B))
             x = tz.add(x, self._out(z, f"enc.{i}.attn", (B,)))
             x = tz.add(x, self._ffn(self._ln(x, f"enc.{i}.ln2"), f"enc.{i}.ffn"))
-        return self._ln(x, "enc.final"), layout.key_valid()
+        return self._ln(x, "enc.final")
 
-    def batch_logprob_sum(self, states, key_valid, continuations):
-        """Summed gold log-probability over a batch of equal-length
-        continuations, teacher forced."""
-        return tz.tsum(self.batch_logprobs(states, key_valid, continuations))
+    def _decoder(self, states, key_valid, ys):
+        """Teacher-forced decoder layers over (N, Td) continuations
+        against the (E, T, d) encoder states of E episodes. Returns the
+        per-continuation gold log-probability (N,).
 
-    def batch_logprobs(self, states, key_valid, continuations):
-        """Per-item gold log-probability (N,) over a batch of N
-        equal-length continuations, teacher forced.
-
-        `states` is the (E, T, d) encoder output of E episodes, and the
-        continuations are episode-major: with C = N / E, continuations
+        Continuations are episode-major: with C = N / E, continuations
         e*C .. e*C + C - 1 are scored against episode e. Self-attention,
         the FFN and the loss run per continuation. Cross-attention folds
         each episode's C continuations into one (C*Td)-row query, so K/V
-        are projected once per episode, not once per continuation.
-        Raises ContinuationCountError unless N is a multiple of E."""
-        E = states.data.shape[0]
-        ys = np.asarray(continuations, dtype=np.int64)
-        N = ys.shape[0]
+        are projected once per episode, not once per continuation."""
+        if ys.ndim != 2 or ys.shape[1] == 0:
+            raise ValueError(
+                "continuations must be equal-length non-empty sequences")
+        self._check_tokens(ys)
+        E, N = states.data.shape[0], ys.shape[0]
         if N % E:
             raise ContinuationCountError(
                 f"{N} continuations do not split evenly over {E} episodes")
@@ -352,16 +256,69 @@ class EncoderDecoder:
         picked = tz.gather_last(tz.log_softmax_last(logits), ys)
         return tz.sum_last(picked)
 
+    def encode(self, pack):
+        """Run the encoder over one packed prompt. Returns EncoderOutput."""
+        layout = pack.layout()
+        states = self._encoder(pack.padded_tokens()[None], layout)
+        return EncoderOutput(tz.reshape(states, states.shape[1:]),
+                             layout.key_valid())
+
+    def encode_batch(self, packs):
+        """Encoder over a batch of packs sharing one layout. Returns
+        (states (B, T, d), key_valid (T,))."""
+        layout = packs[0].layout()
+        if any(p.layout() != layout for p in packs[1:]):
+            raise ValueError("encode_batch needs identical layouts")
+        tokens = np.stack([p.padded_tokens() for p in packs])
+        return self._encoder(tokens, layout), layout.key_valid()
+
+    def sequence_logprob(self, enc_out, continuation):
+        """Scalar tensor (shape [1]): sum of log p(y_t | y_<t, encoder
+        states) over one continuation."""
+        states = enc_out.states
+        return self._decoder(tz.reshape(states, (1,) + states.shape),
+                             enc_out.key_valid,
+                             np.asarray([continuation], dtype=np.int64))
+
+    def batch_logprobs(self, states, key_valid, continuations):
+        """Per-item gold log-probability (N,) over a batch of N
+        equal-length continuations, episode-major against the (E, T, d)
+        states (see `_decoder`). Raises ContinuationCountError unless N is
+        a multiple of E."""
+        return self._decoder(states, key_valid,
+                             np.asarray(continuations, dtype=np.int64))
+
+    def candidate_logprobs(self, pack, candidates):
+        """Log-probability score per candidate under the pack's format.
+
+        Direct: encode once, score each candidate as the continuation.
+        Channel: the candidate becomes the final encoder segment and the
+        stored test input is scored as the continuation.
+        """
+        if pack.format == "direct":
+            enc = self.encode(pack)
+            return np.array([self.sequence_logprob(enc, c).item()
+                             for c in candidates])
+        scores = []
+        for c in candidates:
+            enc = self.encode(pack.with_test_segment(list(c)))
+            scores.append(self.sequence_logprob(enc, pack.score_tokens).item())
+        return np.array(scores)
+
+    def predict(self, pack, candidates):
+        """Index of the argmax candidate; ties go to the lowest index."""
+        if len(candidates) == 0:
+            raise ValueError("need at least one candidate")
+        return int(np.argmax(self.candidate_logprobs(pack, candidates)))
+
     # -- checkpointing -------------------------------------------------
     def save(self, path):
         """Versioned container: JSON config header + named float64 blobs.
-        Round-trips bit-exactly. Like `np.savez`, appends `.npz` to a path
-        without it. The file is written under a temporary name in the same
-        directory and then renamed into place, so a failed save leaves an
-        earlier checkpoint at `path` whole."""
-        path = os.fspath(path)
-        if not path.endswith(".npz"):
-            path += ".npz"
+        Round-trips bit-exactly. Writes to `_checkpoint_path(path)` and
+        returns that path. The file is written under a temporary name in
+        the same directory and then renamed into place, so a failed save
+        leaves an earlier checkpoint there whole."""
+        path = _checkpoint_path(path)
         arrays = {name: t.data for name, t in self.params.items()}
         header = {"version": CHECKPOINT_VERSION, "config": asdict(self.config)}
         tmp = f"{path}.{os.getpid()}.tmp"
@@ -375,13 +332,15 @@ class EncoderDecoder:
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
+        return path
 
     @classmethod
     def load(cls, path):
         """Rebuild a model from a `save` file. Raises CheckpointError when
         the header is missing or of another version, or when an array is
         missing, unexpected, of the wrong shape for the config, or not
-        finite."""
+        finite. Reads `_checkpoint_path(path)`, the file `save` wrote."""
+        path = _checkpoint_path(path)
         with np.load(path) as blob:
             if "__header__" not in blob.files:
                 raise CheckpointError(f"{path}: no checkpoint header")

@@ -174,10 +174,6 @@ def make_family(name, **kwargs):
     return FAMILIES[name](**kwargs)
 
 
-def sample_episode(family, k, seed):
-    return family.sample_episode(k, seed)
-
-
 # ---------------------------------------------------------------------
 # JSON-lines dataset I/O
 # ---------------------------------------------------------------------

@@ -396,13 +396,6 @@ def log_softmax_last(x):
     return _result(y, (x,), back)
 
 
-def log(x):
-    data = np.log(x.data)
-    def back(g):
-        _accumulate(x, g / x.data)
-    return _result(data, (x,), back)
-
-
 def relu(x):
     data = np.maximum(x.data, 0.0)
     def back(g):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .fusion import pack_prompt
+from .fusion import FusionPlan, fused_predict, pack_prompt
 
 
 class NonFiniteLossError(RuntimeError):
@@ -234,11 +234,10 @@ def batch_loss(model, episodes, cfg):
         return tz.scale(tz.tsum(picked), -1.0 / B)
     total = None
     for ep, pack in zip(episodes, packs):
+        enc = model.encode(pack)
         if ep.test.options is None or cfg.fmt != "direct":
-            enc = model.encode(pack)
             nll = tz.scale(model.sequence_logprob(enc, pack.score_tokens), -1.0)
         else:
-            enc = model.encode(pack)
             cand = [model.sequence_logprob(enc, list(c))
                     for c in ep.test.options]
             scores = tz.reshape(tz.concat(cand, axis=0), (1, len(cand)))
@@ -335,17 +334,18 @@ class EvalResult:
 
 
 def evaluate(model, family, test_k, episodes=100, seeds=(0, 1, 2, 3, 4),
-             l_max=8, fmt="direct"):
-    """Accuracy of single-prompt prediction, averaged over demonstration
-    seeds. Deterministic given (model, family, seeds)."""
+             l_max=8, fmt="direct", plan=FusionPlan()):
+    """Accuracy of the fusion plan's prediction (single prompt by
+    default) over k = test_k demonstrations, averaged over demonstration
+    seeds. Deterministic given (model, family, seeds, plan)."""
     accs = []
     for seed in seeds:
         hits = 0
         for i in range(episodes):
             ep = family.sample_episode(test_k, seed * 1_000_003 + i)
-            pack = pack_prompt(ep.demos, ep.test, k=test_k, l_max=l_max, fmt=fmt)
             cands = ep.test.options
-            pred = model.predict(pack, cands)
+            pred = fused_predict(model, ep.demos, ep.test, cands, plan,
+                                 l_max, fmt)
             hits += int(list(cands[pred]) == list(ep.test.y))
         accs.append(hits / episodes)
     return EvalResult(accs, float(np.mean(accs)), float(np.std(accs)))

@@ -80,6 +80,26 @@ class TestCommands:
                          "--episodes", "4", "--seeds", "2"]) == 0
         assert "accuracy:" in capsys.readouterr().out
 
+    def test_checkpoint_named_without_suffix(self, tmp_path, capsys):
+        """`train` and `eval` name the checkpoint file the same way: the
+        `.npz` that saving appends is found again when loading."""
+        ckpt = tmp_path / "m"
+        assert cli.main(["train", "--steps", "1", "--batch-size", "2",
+                         "--train-k", "2", "--checkpoint", str(ckpt)]) == 0
+        assert f"checkpoint written to {ckpt}.npz" in capsys.readouterr().out
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--test-k", "2",
+                         "--episodes", "2", "--seeds", "1"]) == 0
+
+    @pytest.mark.parametrize("flags", [
+        ["--scheme", "ensemble", "--groups", "0"],
+        ["--scheme", "ensemble", "--groups", "20"],
+        ["--scheme", "single", "--groups", "3"],
+    ], ids=["zero", "above_test_k", "single"])
+    def test_eval_groups_usage_error(self, flags, capsys):
+        assert cli.main(["eval", "--test-k", "8", "--episodes", "1",
+                         "--seeds", "1"] + flags) == 2
+        assert "--groups" in capsys.readouterr().err
+
     def test_eval_fusion_schemes(self, capsys):
         for scheme in ("fid", "group-fid", "ensemble"):
             rc = cli.main(["eval", "--scheme", scheme, "--groups", "2",

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -7,10 +8,10 @@ import numpy as np
 import pytest
 
 from iclattn.fusion import PromptPack
-from iclattn.model import (BOS_ID, CHECKPOINT_VERSION, PAD_ID,
-                           CheckpointError, ContinuationCountError,
-                           EncoderDecoder, ModelConfig,
-                           VocabularyOverflowError)
+from iclattn import tensor as tz
+from iclattn.model import (CHECKPOINT_VERSION, PAD_ID, CheckpointError,
+                           ContinuationCountError, EncoderDecoder,
+                           ModelConfig, VocabularyOverflowError)
 
 
 def make_pack(demos, test, score, fmt="direct"):
@@ -81,27 +82,56 @@ class TestEncode:
         np.testing.assert_array_equal(before, after)
 
 
-class TestDecode:
-    def test_logits_shape(self):
-        m = small_model()
-        enc = m.encode(make_pack([(2, 3)], (4,), (5,)))
-        logits = m.decode_logits(enc, (5, 6, 7))
-        assert logits.data.shape == (3, 32)
+# The four public entries, each fed one token `t` where it reads tokens:
+# a demonstration token for the encoders, a continuation token for the
+# decoders.
+ENTRIES = {
+    "encode": lambda m, t: m.encode(make_pack([(2, t)], (4,), (5,))),
+    "encode_batch": lambda m, t: m.encode_batch(
+        [make_pack([(2, 3)], (4,), (5,)), make_pack([(2, t)], (4,), (5,))]),
+    "sequence_logprob": lambda m, t: m.sequence_logprob(
+        m.encode(make_pack([(2, 3)], (4,), (5,))), [5, t]),
+    "batch_logprobs": lambda m, t: m.batch_logprobs(
+        *m.encode_batch([make_pack([(2, 3)], (4,), (5,))]), [[5, 6], [5, t]]),
+}
 
+
+class TestTokenRange:
+    @pytest.mark.parametrize("token", [-1, 32, 99], ids=["negative", "vocab",
+                                                         "above_vocab"])
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_out_of_range_token_raises(self, entry, token):
+        with pytest.raises(VocabularyOverflowError, match=f"token id {token}"):
+            ENTRIES[entry](small_model(), token)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_in_range_tokens_run(self, entry):
+        ENTRIES[entry](small_model(), 31)
+
+
+class TestDecode:
     def test_empty_continuation_rejected(self):
         m = small_model()
         enc = m.encode(make_pack([], (2,), (3,)))
-        with pytest.raises(ValueError):
-            m.decode_logits(enc, ())
+        with pytest.raises(ValueError, match="non-empty"):
+            m.sequence_logprob(enc, ())
+        states, key_valid = m.encode_batch([make_pack([], (2,), (3,))])
+        with pytest.raises(ValueError, match="non-empty"):
+            m.batch_logprobs(states, key_valid, [[]])
 
     def test_causality(self):
-        """Changing a later target token must not change earlier logits."""
-        m = small_model()
-        enc = m.encode(make_pack([(2, 3)], (4,), (5,)))
-        a = m.decode_logits(enc, (5, 6, 7)).data
-        b = m.decode_logits(enc, (5, 6, 8)).data
-        np.testing.assert_array_equal(a[:2], b[:2])
-        assert np.abs(a[2] - b[2]).max() == 0.0  # logits at t depend on y_<t only
+        """The continuation probabilities sum to one over every sequence
+        of a fixed length. That holds only if the decoder's prediction at
+        step t reads y_<t alone: a mask that lets step t see y_t breaks
+        the chain rule, and the sum moves away from one."""
+        cfg = ModelConfig(vocab=6, d_model=16, heads=2, enc_layers=2,
+                          dec_layers=2, ffn=32)
+        m = EncoderDecoder(cfg, seed=1)
+        states, key_valid = m.encode_batch([make_pack([(2, 3)], (4,), (5,))])
+        conts = list(itertools.product(range(6), repeat=3))
+        lp = m.batch_logprobs(states, key_valid, conts).data
+        assert lp.shape == (216,)
+        assert abs(np.exp(lp).sum() - 1.0) <= 1e-12
 
     def test_uniform_logits_give_log_vocab(self):
         """A zeroed output head makes every step uniform, so the sequence
@@ -149,16 +179,20 @@ class TestBatchedPath:
             np.testing.assert_array_equal(key_valid[i], single.key_valid)
 
     def test_batch_logprob_matches_single(self):
-        m = small_model()
-        packs = [make_pack([(2, 3)], (4, 5), (6, 7)),
-                 make_pack([(8, 9)], (10, 11), (12, 13))]
-        states, key_valid = m.encode_batch(packs)
-        total = m.batch_logprob_sum(states, key_valid,
-                                    [p.score_tokens for p in packs]).item()
-        singles = sum(m.sequence_logprob(m.encode(p), p.score_tokens).item()
-                      for p in packs)
-        assert total == pytest.approx(singles, abs=1e-9)
-
+        """The single-prompt entries and the batched entries run the same
+        encoder and decoder bodies, so they agree exactly."""
+        for variant, fmt in itertools.product(("structured", "full"),
+                                              ("direct", "channel")):
+            m = small_model(variant)
+            packs = [make_pack([(2, 3)], (4, 5), (6, 7), fmt),
+                     make_pack([(8, 9)], (10, 11), (12, 13), fmt)]
+            states, key_valid = m.encode_batch(packs)
+            lp = m.batch_logprobs(states, key_valid,
+                                  [p.score_tokens for p in packs])
+            singles = [m.sequence_logprob(m.encode(p), p.score_tokens).item()
+                       for p in packs]
+            assert lp.data.tolist() == singles, (variant, fmt)
+            assert tz.tsum(lp).item() == sum(singles), (variant, fmt)
 
     def test_batch_logprobs_are_episode_major(self):
         """Continuation i*C + c is scored against episode i: permuting the

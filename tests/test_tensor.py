@@ -165,7 +165,6 @@ def test_every_primitive_passes_finite_differences(seed):
         "scale": lambda: tz.tsum(tz.scale(x, -2.5)),
         "softmax": lambda: tz.tsum(tz.mul(tz.softmax_last(x), y)),
         "log_softmax": lambda: tz.tsum(tz.mul(tz.log_softmax_last(x), y)),
-        "log": lambda: tz.tsum(tz.log(tz.add(tz.mul(x, x), Tensor(np.ones((3, 4)))))),
         "relu": lambda: tz.tsum(tz.mul(tz.relu(x), y)),
         "reshape": lambda: tz.tsum(tz.mul(tz.reshape(x, (4, 3)), tz.reshape(y, (4, 3)))),
         "transpose": lambda: tz.tsum(tz.mul(tz.transpose(x, (1, 0)), tz.transpose(y, (1, 0)))),
