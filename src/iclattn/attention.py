@@ -14,7 +14,8 @@ probabilities P and output gradient dZ,
     dQ = dS K / sqrt(d),   dK = dS^T Q / sqrt(d),   dbias = dS,
 
 where the structured node sums dbias over every segment diagonal. The
-backward writes into arrays it allocates once per call.
+backward writes into arrays it allocates once per call, in the dtype of
+the queries.
 `dense_structured_reference` composes the same computation from
 primitive tape ops, so it stays an independent oracle for both nodes.
 
@@ -121,7 +122,8 @@ def structured_attention(q, k, v, layout, bias_block=None):
     bias = None if bias_block is None else bias_block.data
 
     # demonstration rows: [own diagonal block || test block]
-    sd = np.empty((H, K, L, 2 * L))
+    dtype = q.data.dtype
+    sd = np.empty((H, K, L, 2 * L), dtype=dtype)
     np.matmul(qd, kdem.swapaxes(-1, -2), out=sd[..., :L])
     sd[..., :L] += block_mask[:K, None, :]
     if bias is not None:
@@ -138,7 +140,7 @@ def structured_attention(q, k, v, layout, bias_block=None):
         st[..., KL:] += bias
     pt = tz._softmax_inplace(st)
 
-    z = np.empty((H, T, d))
+    z = np.empty((H, T, d), dtype=dtype)
     np.matmul(pdd, vdem, out=z[:, :KL].reshape(H, K, L, d))
     z[:, :KL] += np.matmul(pdt, vt)
     np.matmul(pt, vd, out=z[:, KL:])
@@ -157,13 +159,13 @@ def structured_attention(q, k, v, layout, bias_block=None):
         if not (need_q or need_k or need_bias):
             return
         dst = _softmax_grad_inplace(np.matmul(gt, vd.swapaxes(-1, -2)), pt)
-        dsd = np.empty((H, K, L, 2 * L))
+        dsd = np.empty((H, K, L, 2 * L), dtype=dtype)
         np.matmul(gd, vdem.swapaxes(-1, -2), out=dsd[..., :L])
         dsd[..., L:] = np.matmul(gdf, vt.swapaxes(-1, -2)).reshape(H, K, L, L)
         _softmax_grad_inplace(dsd, pd)
         dsdd, dsdt = dsd[..., :L], dsd[..., L:].reshape(H, KL, L)
         if need_q:
-            dq = np.empty((H, T, d))
+            dq = np.empty((H, T, d), dtype=dtype)
             np.matmul(dsdd, kdem, out=dq[:, :KL].reshape(H, K, L, d))
             dq[:, :KL] += np.matmul(dsdt, kt)
             np.matmul(dst, kd, out=dq[:, KL:])

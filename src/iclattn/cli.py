@@ -154,21 +154,24 @@ def cmd_train(args):
     return 0
 
 
-def _groups_error(scheme, groups, test_k):
-    """The usage error in `--groups` for this scheme, or None. FiD
-    always encodes one demonstration per group, so it ignores the flag."""
+def _eval_usage_error(scheme, groups, test_k):
+    """The usage error in `--test-k` or `--groups` for this scheme, or
+    None. FiD always encodes one demonstration per group, so it takes no
+    other group count."""
+    if test_k < 1:
+        return f"--test-k must be >= 1, got {test_k}"
     if groups < 1:
         return f"--groups must be >= 1, got {groups}"
-    if scheme == "single" and groups != 1:
+    if scheme in ("single", "fid") and groups != 1:
         return f"--groups {groups} needs --scheme group-fid or ensemble"
-    if scheme in ("group_fid", "ensemble") and groups > test_k:
+    if groups > test_k:
         return f"--groups {groups} exceeds the {test_k} demonstrations (--test-k)"
     return None
 
 
 def cmd_eval(args):
     scheme = args.scheme.replace("-", "_")
-    error = _groups_error(scheme, args.groups, args.test_k)
+    error = _eval_usage_error(scheme, args.groups, args.test_k)
     if error:
         print(f"iclattn eval: error: {error}", file=sys.stderr)
         return 2
@@ -177,7 +180,7 @@ def cmd_eval(args):
         model = EncoderDecoder.load(args.checkpoint)
     else:
         model = _model_for(args, args.variant)
-    plan = FusionPlan(scheme, args.groups if scheme != "fid" else 1)
+    plan = FusionPlan(scheme, args.groups)
     seed0 = _seed_override(args.seed)
     result = training.evaluate(model, family, args.test_k,
                                episodes=args.episodes,

@@ -171,9 +171,10 @@ class EncoderDecoder:
         return tz.layer_norm(x, p[f"{prefix}.g"], p[f"{prefix}.b"])
 
     def _mark_test(self, x, layout):
-        flag = np.zeros((layout.total_length, 1))
+        marker = self.params["test_marker"]
+        flag = np.zeros((layout.total_length, 1), dtype=marker.data.dtype)
         flag[layout.num_demos * layout.segment_length:] = 1.0
-        return tz.add(x, tz.mul(self.params["test_marker"], tz.constant(flag)))
+        return tz.add(x, tz.mul(marker, tz.constant(flag)))
 
     def _check_tokens(self, tokens):
         """The one token-range check of the encoder and the decoder."""
@@ -313,11 +314,13 @@ class EncoderDecoder:
 
     # -- checkpointing -------------------------------------------------
     def save(self, path):
-        """Versioned container: JSON config header + named float64 blobs.
-        Round-trips bit-exactly. Writes to `_checkpoint_path(path)` and
-        returns that path. The file is written under a temporary name in
-        the same directory and then renamed into place, so a failed save
-        leaves an earlier checkpoint there whole."""
+        """Versioned container: JSON config header + one named blob per
+        parameter, in the parameter's own dtype (float32 after Adam
+        training, float64 for fresh weights). Round-trips bit-exactly.
+        Writes to `_checkpoint_path(path)` and returns that path. The file
+        is written under a temporary name in the same directory and then
+        renamed into place, so a failed save leaves an earlier checkpoint
+        there whole."""
         path = _checkpoint_path(path)
         arrays = {name: t.data for name, t in self.params.items()}
         header = {"version": CHECKPOINT_VERSION, "config": asdict(self.config)}
@@ -339,7 +342,8 @@ class EncoderDecoder:
         """Rebuild a model from a `save` file. Raises CheckpointError when
         the header is missing or of another version, or when an array is
         missing, unexpected, of the wrong shape for the config, or not
-        finite. Reads `_checkpoint_path(path)`, the file `save` wrote."""
+        finite. Reads `_checkpoint_path(path)`, the file `save` wrote.
+        Float32 arrays stay float32, anything else becomes float64."""
         path = _checkpoint_path(path)
         with np.load(path) as blob:
             if "__header__" not in blob.files:
@@ -365,7 +369,7 @@ class EncoderDecoder:
                     raise CheckpointError(
                         f"{path}: array {name!r} has shape {arr.shape}, "
                         f"the config needs {t.data.shape}")
-                arr = arr.astype(np.float64)
+                arr = tz.as_data(arr)
                 if not np.isfinite(arr).all():
                     raise CheckpointError(
                         f"{path}: array {name!r} holds non-finite values")

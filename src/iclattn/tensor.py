@@ -1,14 +1,19 @@
 """Minimal dense-tensor kernel with reverse-mode autodiff.
 
-Everything is float64 and row-major. There is no broadcasting beyond
-what `add`/`mul` need for bias terms. The graph is recorded implicitly:
-each result tensor keeps its parents and a backward closure, and
-`backward()` replays them in reverse topological order.
+Everything is row-major, in float32 or float64: a tensor keeps float32
+data as float32 and turns anything else into float64, and every
+primitive computes its output and its gradients in its inputs' dtype
+(float64 where they mix). Float32 inputs, such as the optimizer's working
+weights, therefore give a float32 tape; float64 inputs (fresh models, the
+oracles and the gradient checks) a float64 one. There is no broadcasting
+beyond what `add`/`mul` need for bias terms. The graph is recorded
+implicitly: each result tensor keeps its parents and a backward closure,
+and `backward()` replays them in reverse topological order.
 
 Tensors are immutable after construction (the optimizer rebinds each
-parameter's `.data` to a view of its flat buffer once, then writes it in
-place as the single writer during training). One backward graph per
-thread; graphs are never shared.
+parameter's `.data` to a view of its float32 working buffer once, then
+writes it in place as the single writer during training). One backward
+graph per thread; graphs are never shared.
 
 Gradient ownership: a gradient array may be shared between tensors (`add`
 hands one array to both operands; `reshape`, `transpose`, `concat` and the
@@ -39,11 +44,18 @@ class SpecError(ValueError):
     """Malformed einsum-style contraction spec."""
 
 
+def as_data(data):
+    """`data` as a tensor array: float32 stays float32, anything else
+    becomes float64."""
+    arr = np.asarray(data)
+    return arr if arr.dtype == np.float32 else arr.astype(np.float64, copy=False)
+
+
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = as_data(data)
         if arr.ndim == 0:
             arr = arr.reshape(1)
         self.data = arr

@@ -74,29 +74,35 @@ _ADAM_CHUNK = 16384
 
 
 class Adam:
-    """Adam over one flat parameter buffer.
+    """Mixed-precision Adam over one flat parameter buffer (Micikevicius
+    et al. 2018, arXiv:1710.03740).
 
     The constructor copies the parameters it is given into one contiguous
-    float64 buffer and rebinds each `.data` to a view of it; a later
-    rebinding of `.data` detaches that parameter from the optimizer. Each
-    step walks the runs of consecutive parameters that have a gradient and
-    updates them a chunk at a time. A parameter whose `.grad` is None gets
-    neither a moment decay nor an update."""
+    float64 buffer, `flat`: the master weights, which the update and the
+    moments `m` and `v` work on. Each `.data` is rebound to a view of a
+    float32 copy of that buffer, so the forward and backward passes run in
+    float32; a later rebinding of `.data` detaches that parameter from the
+    optimizer. Each step walks the runs of consecutive parameters that
+    have a gradient and updates them a chunk at a time: the gradient is
+    gathered (and cast) into a float64 scratch array, and the updated
+    master chunk is cast back into the working buffer. A parameter whose
+    `.grad` is None gets neither a moment decay nor an update."""
 
     def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.flat = np.empty(sum(p.data.size for p in params.values()))
+        self._work = np.empty(self.flat.size, dtype=np.float32)
         self._spans = []        # (param, start, stop) within `flat`
         start = 0
         for p in params.values():
             stop = start + p.data.size
-            view = self.flat[start:stop].reshape(p.data.shape)
-            view[...] = p.data
-            p.data = view
+            self.flat[start:stop] = p.data.reshape(-1)
+            p.data = self._work[start:stop].reshape(p.data.shape)
             self._spans.append((p, start, stop))
             start = stop
+        self._work[...] = self.flat
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
         chunk = min(_ADAM_CHUNK, self.flat.size)
@@ -132,7 +138,8 @@ class Adam:
         """Adam on flat[a:a + n], whose gradient is in the scratch array:
         the operations, in their order, of
         m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
-        w -= lr (m / corr1) / (sqrt(v / corr2) + eps)."""
+        w -= lr (m / corr1) / (sqrt(v / corr2) + eps),
+        then the cast of the updated weights into the working buffer."""
         b1, b2 = self.beta1, self.beta2
         m, v = self.m[a:a + n], self.v[a:a + n]
         s1, s2, g = (s[:n] for s in self._scratch)
@@ -149,7 +156,9 @@ class Adam:
         np.divide(m, corr1, out=s2)
         s2 *= lr
         s2 /= s1
-        self.flat[a:a + n] -= s2
+        w = self.flat[a:a + n]
+        w -= s2
+        self._work[a:a + n] = w
 
     def zero_grad(self):
         for p in self.params.values():
@@ -249,11 +258,12 @@ def batch_loss(model, episodes, cfg):
 
 
 def grad_norm(params):
-    """Global L2 norm over every parameter gradient."""
+    """Global L2 norm over every parameter gradient, accumulated in
+    float64 whatever the gradients' dtype."""
     total = 0.0
     for p in params.values():
         if p.grad is not None:
-            g = p.grad.reshape(-1)
+            g = p.grad.reshape(-1).astype(np.float64, copy=False)
             total += float(np.dot(g, g))
     return np.sqrt(total)
 
@@ -262,10 +272,11 @@ def clip_gradients(params, max_norm):
     """Scale all gradients so their global norm is at most max_norm.
     Returns the norm before scaling; a non-finite norm leaves the
     gradients as they are. Gradients may share arrays, so each one is
-    rebound to a scaled copy rather than scaled in place."""
+    rebound to a scaled copy rather than scaled in place, in its own
+    dtype."""
     norm = grad_norm(params)
     if np.isfinite(norm) and norm > max_norm:
-        factor = max_norm / norm
+        factor = float(max_norm / norm)
         for p in params.values():
             if p.grad is not None:
                 p.grad = p.grad * factor

@@ -140,6 +140,9 @@ FUSED_CASES = (
 FUSED_HEADS, FUSED_HEAD_DIM = 2, 3
 # Largest allowed gap between a fused node and the composite oracle.
 FUSED_ORACLE_TOL = 1e-9
+# Largest allowed gap between a fused node run in float32 and the float64
+# oracle, as max-abs difference over the max-abs oracle entry.
+FUSED_FLOAT32_TOL = 1e-5
 
 
 def _squared_sum(fn):
@@ -157,20 +160,18 @@ def _value_and_grads(fn, tensors):
                          for t in tensors]
 
 
-def check_fused_case(layout, prompts, seed=2, rtol=1e-4):
-    """Both fused attention nodes against the composite oracle on one
-    layout. The structured node gets its shared bias block, the full node
-    the structured mask and bias placement, each tiled over `prompts`.
-    Returns (worst finite-difference relative error over both nodes and
-    the oracle, worst gap between a node and the oracle over the output
-    and the gradients of q, k, v and the bias table)."""
+def _fused_setup(layout, prompts, seed):
+    """Float64 q, k, v and bias table for one FUSED_CASES layout, the
+    tensors they differentiate, both fused nodes over them and the
+    composite oracle. The structured node gets its shared bias block, the
+    full node the structured mask and bias placement, each tiled over
+    `prompts`."""
     rng = np.random.default_rng(seed)
     shape = (prompts * FUSED_HEADS, layout.total_length, FUSED_HEAD_DIM)
     q, k, v = (Tensor(rng.standard_normal(shape), requires_grad=True)
                for _ in range(3))
     table = RelativeBiasTable(FUSED_HEADS, num_buckets=8, max_distance=16,
                               rng=rng, init_std=0.5)
-    tensors = [q, k, v, table.weights]
     nodes = [
         lambda: structured_attention(
             q, k, v, layout, bias_block=tile_bias(
@@ -183,6 +184,15 @@ def check_fused_case(layout, prompts, seed=2, rtol=1e-4):
     def oracle():
         return dense_structured_reference(q, k, v, layout, table)
 
+    return [q, k, v, table.weights], nodes, oracle
+
+
+def check_fused_case(layout, prompts, seed=2, rtol=1e-4):
+    """Both fused attention nodes against the composite oracle on one
+    layout. Returns (worst finite-difference relative error over both
+    nodes and the oracle, worst gap between a node and the oracle over
+    the output and the gradients of q, k, v and the bias table)."""
+    tensors, nodes, oracle = _fused_setup(layout, prompts, seed)
     expected = _value_and_grads(oracle, tensors)
     worst_gap = 0.0
     for node in nodes:
@@ -209,6 +219,36 @@ def attention_gradients(seed=2, rtol=1e-4):
     return ok, worst
 
 
+def _check_fused_float32(layout, prompts, seed=2):
+    """Both fused attention nodes run on float32 q, k, v and bias table
+    against the float64 oracle on one layout. Returns (whether every
+    output and gradient is float32, worst gap over the output and the
+    gradients as max-abs difference over the max-abs oracle entry)."""
+    tensors, nodes, oracle = _fused_setup(layout, prompts, seed)
+    expected = _value_and_grads(oracle, tensors)
+    for t in tensors:
+        t.data = t.data.astype(np.float32)
+    pure, worst = True, 0.0
+    for node in nodes:
+        got = _value_and_grads(node, tensors)
+        pure = pure and all(a.dtype == np.float32 for a in got)
+        worst = max([worst] + [float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+                               for a, b in zip(got, expected)])
+    return pure, worst
+
+
+def attention_float32(seed=2):
+    """`_check_fused_float32` on every layout in FUSED_CASES. Passes when
+    every result is float32 and every gap within FUSED_FLOAT32_TOL; also
+    returns the worst gap."""
+    ok, worst = True, 0.0
+    for _, layout, prompts in FUSED_CASES:
+        pure, gap = _check_fused_float32(layout, prompts, seed=seed)
+        ok = ok and pure and gap <= FUSED_FLOAT32_TOL
+        worst = max(worst, gap)
+    return ok, worst
+
+
 def run_suite(quick=False):
     """Run all check groups; returns list of (name, ok, detail)."""
     n_oracle = 20 if quick else 100
@@ -219,6 +259,7 @@ def run_suite(quick=False):
         ("permutation-invariance", lambda: permutation_invariance(n_perm)),
         ("mask-counts", mask_counts),
         ("attention-gradients", attention_gradients),
+        ("attention-float32", attention_float32),
     ]:
         ok, detail = fn()
         results.append((name, ok, detail))

@@ -163,6 +163,12 @@ class TestFusedNodes:
         assert gap <= 1e-9
         assert fd <= 1e-4
 
+    def test_float32_nodes_match_float64_oracle(self):
+        """Every FUSED_CASES layout with float32 inputs: float32 outputs
+        and gradients within FUSED_FLOAT32_TOL of the float64 oracle."""
+        ok, worst = verify.attention_float32()
+        assert ok, worst
+
     def test_one_tape_node_per_call(self):
         rng = np.random.default_rng(14)
         layout = SegmentLayout(3, 2, (2, 1, 2, 2))

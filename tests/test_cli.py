@@ -94,15 +94,26 @@ class TestCommands:
         ["--scheme", "ensemble", "--groups", "0"],
         ["--scheme", "ensemble", "--groups", "20"],
         ["--scheme", "single", "--groups", "3"],
-    ], ids=["zero", "above_test_k", "single"])
-    def test_eval_groups_usage_error(self, flags, capsys):
+        ["--scheme", "fid", "--groups", "5"],
+    ], ids=["zero", "above_test_k", "single", "fid"])
+    def test_eval_groups_usage_error(self, flags, capsys, monkeypatch):
+        # any model build would now raise, so exit 2 comes before one
+        monkeypatch.setattr(cli, "EncoderDecoder", None)
         assert cli.main(["eval", "--test-k", "8", "--episodes", "1",
                          "--seeds", "1"] + flags) == 2
-        assert "--groups" in capsys.readouterr().err
+        assert "iclattn eval: error: --groups" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("test_k", ["0", "-1"])
+    def test_eval_test_k_usage_error(self, test_k, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "EncoderDecoder", None)
+        assert cli.main(["eval", "--test-k", test_k, "--episodes", "1",
+                         "--seeds", "1"]) == 2
+        assert "iclattn eval: error: --test-k" in capsys.readouterr().err
 
     def test_eval_fusion_schemes(self, capsys):
-        for scheme in ("fid", "group-fid", "ensemble"):
-            rc = cli.main(["eval", "--scheme", scheme, "--groups", "2",
+        for scheme, groups in (("fid", "1"), ("group-fid", "2"),
+                               ("ensemble", "2")):
+            rc = cli.main(["eval", "--scheme", scheme, "--groups", groups,
                            "--test-k", "2", "--episodes", "2", "--seeds", "1"])
             assert rc == 0
             assert "accuracy:" in capsys.readouterr().out

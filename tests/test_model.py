@@ -12,6 +12,8 @@ from iclattn import tensor as tz
 from iclattn.model import (CHECKPOINT_VERSION, PAD_ID, CheckpointError,
                            ContinuationCountError, EncoderDecoder,
                            ModelConfig, VocabularyOverflowError)
+from iclattn.tasks import LookupFamily
+from iclattn.training import Adam, TrainConfig, sample_batch, train_step
 
 
 def make_pack(demos, test, score, fmt="direct"):
@@ -251,6 +253,28 @@ class TestCheckpoint:
         path = os.path.join(tmp_path, "ckpt.npz")
         m.save(path)
         m2 = EncoderDecoder.load(path)
+        pack = make_pack([(2, 3), (4, 5)], (6,), (7,))
+        cands = [(7,), (8,), (9,)]
+        np.testing.assert_array_equal(m.candidate_logprobs(pack, cands),
+                                      m2.candidate_logprobs(pack, cands))
+
+    def test_round_trip_keeps_float32_training_weights(self, tmp_path):
+        """After Adam steps the weights are float32; a checkpoint keeps
+        them float32 and the loaded model scores bit for bit alike."""
+        m = EncoderDecoder(ModelConfig(vocab=48, d_model=16, heads=2,
+                                       enc_layers=2, dec_layers=2, ffn=32),
+                           seed=5)
+        opt = Adam(m.parameters())
+        cfg = TrainConfig(train_k=2, batch_size=2)
+        rng = np.random.default_rng(0)
+        for _ in range(2):
+            train_step(m, opt, sample_batch(LookupFamily(), 2, 2, rng),
+                       lr=1e-3, cfg=cfg)
+        path = m.save(os.path.join(tmp_path, "ckpt"))
+        m2 = EncoderDecoder.load(path)
+        for name, p in m2.parameters().items():
+            assert p.data.dtype == np.float32, name
+        assert m2.weight_fingerprint() == m.weight_fingerprint()
         pack = make_pack([(2, 3), (4, 5)], (6,), (7,))
         cands = [(7,), (8,), (9,)]
         np.testing.assert_array_equal(m.candidate_logprobs(pack, cands),

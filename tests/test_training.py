@@ -212,6 +212,25 @@ class TestTrainStep:
         assert opt.t == 0
 
 
+def master_views(opt):
+    """Name -> float64 master weights of that parameter within `opt.flat`,
+    which Adam packs in the parameters' order."""
+    views, start = {}, 0
+    for n, p in opt.params.items():
+        views[n] = opt.flat[start:start + p.data.size].reshape(p.data.shape)
+        start += p.data.size
+    return views
+
+
+def assert_working_copy(opt):
+    """Each parameter's `.data` is its master weights cast to float32."""
+    for n, master in master_views(opt).items():
+        data = opt.params[n].data
+        assert data.dtype == np.float32, n
+        np.testing.assert_array_equal(data, master.astype(np.float32),
+                                      err_msg=n)
+
+
 class TestOptimizers:
     def _quadratic_steps(self, opt_cls):
         p = tz.Tensor(np.array([5.0, -3.0]), requires_grad=True)
@@ -232,11 +251,12 @@ class TestOptimizers:
         rng = np.random.default_rng(12)
         params = {"w": tz.Tensor(rng.standard_normal((3, 4)), requires_grad=True),
                   "b": tz.Tensor(rng.standard_normal(4), requires_grad=True)}
-        opt = Adam(params)
-        b1, b2, eps, lr = opt.beta1, opt.beta2, opt.eps, 1e-2
         ref = {n: p.data.copy() for n, p in params.items()}
-        m = {n: np.zeros_like(p.data) for n, p in params.items()}
-        v = {n: np.zeros_like(p.data) for n, p in params.items()}
+        opt = Adam(params)
+        master = master_views(opt)
+        b1, b2, eps, lr = opt.beta1, opt.beta2, opt.eps, 1e-2
+        m = {n: np.zeros_like(a) for n, a in ref.items()}
+        v = {n: np.zeros_like(a) for n, a in ref.items()}
         for t in range(1, 6):
             grads = {n: rng.standard_normal(p.data.shape)
                      for n, p in params.items()}
@@ -250,8 +270,9 @@ class TestOptimizers:
                 vh = v[n] / (1 - b2 ** t)
                 ref[n] -= lr * mh / (np.sqrt(vh) + eps)
             for n, p in params.items():
-                np.testing.assert_array_equal(p.data, ref[n])
+                np.testing.assert_array_equal(master[n], ref[n])
                 np.testing.assert_array_equal(p.grad, grads[n])
+            assert_working_copy(opt)
 
     def test_adam_packs_parameters_into_one_buffer(self):
         model = tiny_model()
@@ -259,10 +280,15 @@ class TestOptimizers:
         before = {n: p.data.copy() for n, p in params.items()}
         opt = Adam(params)
         assert opt.flat.ndim == 1 and opt.flat.flags.c_contiguous
+        assert opt.flat.dtype == np.float64
         assert opt.flat.size == sum(a.size for a in before.values())
+        master = master_views(opt)
         for n, p in params.items():
-            assert p.data.base is opt.flat, n
-            np.testing.assert_array_equal(p.data, before[n])
+            assert master[n].base is opt.flat, n
+            np.testing.assert_array_equal(master[n], before[n])
+        assert_working_copy(opt)
+        # every working view shares one buffer
+        assert len({id(p.data.base) for p in params.values()}) == 1
 
     def test_adam_leaves_parameter_without_gradient_untouched(self):
         """A parameter with no gradient keeps its weights and its moments;
@@ -272,12 +298,13 @@ class TestOptimizers:
         shapes = {"a": (3, 4), "b": (5,), "c": (2, 3), "d": (3, 10000)}
         params = {n: tz.Tensor(rng.standard_normal(s), requires_grad=True)
                   for n, s in shapes.items()}
-        opt = Adam(params)
-        b1, b2, eps, lr = opt.beta1, opt.beta2, opt.eps, 1e-2
         ref = {n: params[n].data.copy() for n in ("a", "c", "d")}
+        frozen = params["b"].data.copy()
+        opt = Adam(params)
+        master = master_views(opt)
+        b1, b2, eps, lr = opt.beta1, opt.beta2, opt.eps, 1e-2
         m = {n: np.zeros(shapes[n]) for n in ref}
         v = {n: np.zeros(shapes[n]) for n in ref}
-        frozen = params["b"].data.copy()
         for t in range(1, 4):
             for n in ref:
                 g = params[n].grad = rng.standard_normal(shapes[n])
@@ -287,17 +314,51 @@ class TestOptimizers:
                     np.sqrt(v[n] / (1 - b2 ** t)) + eps)
             params["b"].grad = None
             opt.step(lr)
-        np.testing.assert_array_equal(params["b"].data, frozen)
+        np.testing.assert_array_equal(master["b"], frozen)
         # "b" follows the 12 entries of "a" in the flat buffer
         assert not opt.m[12:17].any() and not opt.v[12:17].any()
         for n in ref:
-            np.testing.assert_array_equal(params[n].data, ref[n], err_msg=n)
+            np.testing.assert_array_equal(master[n], ref[n], err_msg=n)
+        assert_working_copy(opt)
 
     def test_adafactor_factored_state_for_matrices(self):
         p = tz.Tensor(np.ones((4, 6)), requires_grad=True)
         opt = Adafactor({"p": p})
         r, c = opt.state["p"]
         assert r.shape == (4,) and c.shape == (6,)
+
+
+class TestMixedPrecision:
+    @pytest.mark.parametrize("fmt", ["direct", "channel"],
+                             ids=["folded", "per_episode"])
+    @pytest.mark.parametrize("variant", ["structured", "full"])
+    def test_adam_step_tape_is_float32(self, monkeypatch, variant, fmt):
+        """Every node the tape records during an Adam step, and every
+        gradient the backward hands on, is float32: an op that upcasts to
+        float64 shows here. The channel format takes the per-episode
+        fallback, and the small clip norm makes the clip rescale every
+        gradient."""
+        model = tiny_model(variant=variant)
+        cfg = tiny_cfg(batch_size=2, train_k=2, fmt=fmt, grad_clip=1e-3)
+        opt = make_optimizer("adam", model.parameters())
+        eps = sample_batch(LookupFamily(), 2, 2, np.random.default_rng(0))
+        nodes, grads = [], []
+        real_result, real_accumulate = tz._result, tz._accumulate
+
+        def recording_result(data, parents, backward_fn):
+            nodes.append(data.dtype)
+            return real_result(data, parents, backward_fn)
+
+        def recording_accumulate(t, g):
+            grads.append(g.dtype)
+            real_accumulate(t, g)
+        monkeypatch.setattr(tz, "_result", recording_result)
+        monkeypatch.setattr(tz, "_accumulate", recording_accumulate)
+        train_step(model, opt, eps, lr=1e-3, cfg=cfg)
+        assert nodes and set(nodes) == {np.dtype(np.float32)}
+        assert grads and set(grads) == {np.dtype(np.float32)}
+        assert all(p.grad.dtype == np.float32
+                   for p in model.parameters().values() if p.grad is not None)
 
 
 class TestTrainLoop:
