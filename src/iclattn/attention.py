@@ -195,7 +195,7 @@ def dense_structured_reference(q, k, v, layout, table):
     q = scale(q, q.data.shape[-1] ** -0.5)
     scores = add(contract("htd,hrd->htr", q, k), constant(mask.values))
     if table:
-        bias = bias_for_layout(table, layout, structured=True)
+        bias = bias_for_layout(table, layout)
         scores = add(scores, tile_bias(
             bias, q.data.shape[0] // table.num_heads))
     return contract("htr,hrd->htd", softmax_last(scores), v)

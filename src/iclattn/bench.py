@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import full_attention, score_storage, structured_attention
+from .attention import (VARIANTS, full_attention, score_storage,
+                        structured_attention)
 from .segments import SegmentLayout, build_full_mask
 from .tensor import Tensor
 
@@ -42,6 +43,8 @@ class BenchSpec:
             raise ValueError("repetitions must be >= 3")
         if list(self.k_grid) != sorted(set(self.k_grid)):
             raise ValueError("k grid must be strictly increasing")
+        if not set(self.variants) <= set(VARIANTS):
+            raise ValueError(f"unknown variant in {self.variants}")
 
 
 @dataclass

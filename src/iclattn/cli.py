@@ -1,17 +1,18 @@
 """Command-line entry point.
 
 Subcommands: verify (property suites), train (meta-training), eval
-(accuracy with a fusion scheme), bench (scaling benchmark, CSV), and
-gen-data (synthetic episodes to JSON lines).
+(accuracy with a fusion scheme) and bench (scaling benchmark, CSV).
 
 Exit codes: 0 success, 1 verification/eval failure, 2 usage error.
-A flat key=value config file may supply defaults; flags take precedence.
-The ICLATTN_SEED environment variable overrides any seed.
+`train` and `bench` read a flat key=value file (`--config`) of config
+fields. Flags given on the command line win over it, ICLATTN_SEED over any
+seed; a bad key or value is a usage error, before any model is built.
 """
 
 import argparse
 import os
 import sys
+from dataclasses import fields, replace
 
 # Timing-sensitive subcommands want single-threaded BLAS; must happen
 # before numpy first loads.
@@ -20,7 +21,8 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from . import bench as bench_mod  # noqa: E402
 from . import tasks, training, verify  # noqa: E402
-from .fusion import FusionPlan  # noqa: E402
+from .attention import VARIANTS  # noqa: E402
+from .fusion import FORMATS, SCHEMES, FusionPlan  # noqa: E402
 from .model import EncoderDecoder, ModelConfig  # noqa: E402
 
 SEED_ENV = "ICLATTN_SEED"
@@ -42,25 +44,61 @@ def read_config_file(path):
 
 
 def _coerce(val, like):
-    if isinstance(like, bool):
-        return val.lower() in ("1", "true", "yes")
-    if isinstance(like, int):
-        return int(val)
-    if isinstance(like, float):
-        return float(val)
+    """The string `val` as the type of the field value `like`; a tuple's
+    elements as the type of its first element."""
     if isinstance(like, tuple):
-        return tuple(int(v) for v in val.split(","))
-    return val
+        return tuple(_coerce(v.strip(), like[0]) for v in val.split(","))
+    return type(like)(val)
 
 
-def apply_config(obj, values):
-    for key, val in values.items():
-        if hasattr(obj, key):
-            setattr(obj, key, _coerce(val, getattr(obj, key)))
+def apply_config(cfg, values):
+    """A copy of the config dataclass `cfg` with the string `values` coerced
+    to the field types, built through the constructor so that its checks
+    run. Raises ValueError on an unknown key or a bad value."""
+    unknown = sorted(values.keys() - {f.name for f in fields(cfg)})
+    if unknown:
+        raise ValueError(f"unknown config key(s) {', '.join(unknown)}")
+    return replace(cfg, **{key: _coerce(val, getattr(cfg, key))
+                           for key, val in values.items()})
 
 
 def _seed_override(seed):
     return int(os.environ[SEED_ENV]) if SEED_ENV in os.environ else seed
+
+
+def _build_config(cls, args):
+    """`cls` from its defaults, under the `--config` file, under the flags
+    given on the command line, under ICLATTN_SEED for the seed."""
+    values = read_config_file(args.config) if args.config else {}
+    values.update(args.given)
+    if SEED_ENV in os.environ:
+        values["seed"] = os.environ[SEED_ENV]
+    return apply_config(cls(), values)
+
+
+class _FieldFlag(argparse.Action):
+    """A config-field flag. Its string goes into `given`, which wins over
+    the `--config` file; the file wins over the flag's default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = {**namespace.given, self.dest: values}
+
+
+def _add_field_flags(p, cfg, names, **extra):
+    """`--config`, and a flag per named field of the config dataclass
+    `cfg`, with the field's value as its default. `extra` maps a field
+    name to more `add_argument` keywords."""
+    p.set_defaults(given={})
+    p.add_argument("--config", help="flat key=value config file")
+    for name in names:
+        p.add_argument("--" + name.replace("_", "-"), default=getattr(cfg, name),
+                       action=_FieldFlag, **extra.get(name, {}))
+
+
+def _usage_error(command, message):
+    print(f"iclattn {command}: error: {message}", file=sys.stderr)
+    return 2
 
 
 def build_parser():
@@ -69,35 +107,29 @@ def build_parser():
         description="Structured-attention in-context learner: verify, train, "
                     "evaluate, and benchmark at desk scale.")
     sub = parser.add_subparsers(dest="command", required=True)
-    train_defaults = training.TrainConfig()
 
     p = sub.add_parser("verify", help="run oracle/invariance/gradient suites")
     p.add_argument("--quick", action="store_true", help="reduced instance counts")
 
     p = sub.add_parser("train", help="meta-train on a synthetic family")
     p.add_argument("--family", default="lookup", choices=sorted(tasks.FAMILIES))
-    p.add_argument("--variant", default="structured", choices=("structured", "full"))
-    p.add_argument("--steps", type=int, default=train_defaults.steps)
-    p.add_argument("--batch-size", type=int, default=train_defaults.batch_size)
-    p.add_argument("--lr", type=float, default=train_defaults.lr)
-    p.add_argument("--train-k", type=int, default=train_defaults.train_k)
-    p.add_argument("--seed", type=int, default=train_defaults.seed)
-    p.add_argument("--optimizer", default=train_defaults.optimizer,
-                   choices=("adam", "adafactor"))
-    p.add_argument("--config", help="flat key=value config file")
+    p.add_argument("--variant", default="structured", choices=VARIANTS)
+    _add_field_flags(p, training.TrainConfig(),
+                     ("steps", "batch_size", "lr", "train_k", "seed",
+                      "optimizer"),
+                     optimizer={"choices": tuple(training.OPTIMIZERS)})
     p.add_argument("--log-csv", help="write step,loss,lr CSV here")
     p.add_argument("--checkpoint", help="save trained weights here (.npz)")
 
     p = sub.add_parser("eval", help="evaluate a model with a fusion scheme")
     p.add_argument("--family", default="lookup", choices=sorted(tasks.FAMILIES))
     p.add_argument("--checkpoint", help="trained model (.npz); fresh weights if omitted")
-    p.add_argument("--variant", default="structured", choices=("structured", "full"))
+    p.add_argument("--variant", default="structured", choices=VARIANTS)
     p.add_argument("--scheme", default="single",
-                   choices=("single", "fid", "group-fid", "ensemble"))
+                   choices=tuple(s.replace("_", "-") for s in SCHEMES))
     p.add_argument("--groups", type=int, default=1,
                    help="demonstration groups for group-fid and ensemble")
-    p.add_argument("--format", dest="fmt", default="direct",
-                   choices=("direct", "channel"))
+    p.add_argument("--format", dest="fmt", default="direct", choices=FORMATS)
     p.add_argument("--test-k", type=int, default=8)
     p.add_argument("--episodes", type=int, default=100)
     p.add_argument("--seeds", type=int, default=5)
@@ -105,21 +137,10 @@ def build_parser():
     p.add_argument("--l-max", type=int, default=8)
 
     p = sub.add_parser("bench", help="attention scaling benchmark")
-    p.add_argument("--k-grid", default="2,4,8,16,32,64,128")
-    p.add_argument("--lengths", default="64")
-    p.add_argument("--repetitions", type=int, default=10)
-    p.add_argument("--warmup", type=int, default=2)
-    p.add_argument("--mem-budget-bytes", type=float, default=1.0e9)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", help="flat key=value config file")
+    _add_field_flags(p, bench_mod.BenchSpec(),
+                     ("k_grid", "lengths", "repetitions", "warmup",
+                      "mem_budget_bytes", "seed"))
     p.add_argument("--csv", help="output CSV path (stdout if omitted)")
-
-    p = sub.add_parser("gen-data", help="generate synthetic episodes as JSON lines")
-    p.add_argument("--family", default="lookup", choices=sorted(tasks.FAMILIES))
-    p.add_argument("--episodes", type=int, default=100)
-    p.add_argument("--k", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     return parser
 
 
@@ -133,17 +154,11 @@ def cmd_verify(args):
     return 1 if failed else 0
 
 
-def _model_for(args, variant):
-    cfg = ModelConfig(variant=variant)
-    return EncoderDecoder(cfg, seed=_seed_override(getattr(args, "seed", 0)))
-
-
 def cmd_train(args):
-    cfg = training.TrainConfig(
-        train_k=args.train_k, steps=args.steps, batch_size=args.batch_size,
-        lr=args.lr, seed=_seed_override(args.seed), optimizer=args.optimizer)
-    if args.config:
-        apply_config(cfg, read_config_file(args.config))
+    try:
+        cfg = _build_config(training.TrainConfig, args)
+    except (OSError, ValueError) as err:
+        return _usage_error("train", err)
     family = tasks.make_family(args.family)
     model = EncoderDecoder(ModelConfig(variant=args.variant), seed=cfg.seed)
     history = training.train(model, family, cfg, log_path=args.log_csv,
@@ -173,15 +188,14 @@ def cmd_eval(args):
     scheme = args.scheme.replace("-", "_")
     error = _eval_usage_error(scheme, args.groups, args.test_k)
     if error:
-        print(f"iclattn eval: error: {error}", file=sys.stderr)
-        return 2
+        return _usage_error("eval", error)
     family = tasks.make_family(args.family)
+    seed0 = _seed_override(args.seed)
     if args.checkpoint:
         model = EncoderDecoder.load(args.checkpoint)
     else:
-        model = _model_for(args, args.variant)
+        model = EncoderDecoder(ModelConfig(variant=args.variant), seed=seed0)
     plan = FusionPlan(scheme, args.groups)
-    seed0 = _seed_override(args.seed)
     result = training.evaluate(model, family, args.test_k,
                                episodes=args.episodes,
                                seeds=tuple(seed0 + s for s in range(args.seeds)),
@@ -192,13 +206,10 @@ def cmd_eval(args):
 
 
 def cmd_bench(args):
-    spec = bench_mod.BenchSpec(
-        k_grid=tuple(int(v) for v in args.k_grid.split(",")),
-        lengths=tuple(int(v) for v in args.lengths.split(",")),
-        repetitions=args.repetitions, warmup=args.warmup,
-        mem_budget_bytes=args.mem_budget_bytes, seed=_seed_override(args.seed))
-    if args.config:
-        apply_config(spec, read_config_file(args.config))
+    try:
+        spec = _build_config(bench_mod.BenchSpec, args)
+    except (OSError, ValueError) as err:
+        return _usage_error("bench", err)
     records = bench_mod.run_bench(spec, csv_path=args.csv)
     if args.csv:
         print(f"wrote {len(records)} records to {args.csv}")
@@ -207,25 +218,11 @@ def cmd_bench(args):
     return 0
 
 
-def cmd_gen_data(args):
-    family = tasks.make_family(args.family)
-    seed0 = _seed_override(args.seed)
-    examples = []
-    for i in range(args.episodes):
-        ep = family.sample_episode(args.k, seed0 + i)
-        examples.extend(ep.demos)
-        examples.append(ep.test)
-    tasks.write_dataset(args.out, examples)
-    print(f"wrote {len(examples)} examples to {args.out}")
-    return 0
-
-
 COMMANDS = {
     "verify": cmd_verify,
     "train": cmd_train,
     "eval": cmd_eval,
     "bench": cmd_bench,
-    "gen-data": cmd_gen_data,
 }
 
 

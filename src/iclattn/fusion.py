@@ -22,6 +22,7 @@ from .model import EncoderOutput, PAD_ID
 from .segments import SegmentLayout
 from .tensor import concat
 
+FORMATS = ("direct", "channel")
 SCHEMES = ("single", "fid", "group_fid", "ensemble")
 TOKENS_PER_DEMO_BUDGET = 64
 
@@ -46,7 +47,7 @@ class PromptPack:
     provenance: tuple           # admitted demo indices, in admission order
 
     def __post_init__(self):
-        if self.format not in ("direct", "channel"):
+        if self.format not in FORMATS:
             raise ValueError(f"unknown prompt format {self.format!r}")
         if len(self.test_segment) == 0:
             raise ValueError("test segment must be non-empty")
@@ -164,12 +165,10 @@ def fid_encode(model, demos, test, l_max, fmt="direct"):
                             l_max=l_max, fmt=fmt)
 
 
-def fused_logprobs(model, demos, test, candidates, plan, l_max, fmt="direct",
-                   k_budget=None):
+def fused_logprobs(model, demos, test, candidates, plan, l_max, fmt="direct"):
     """Per-candidate log-probability scores under a fusion plan."""
-    k_budget = k_budget if k_budget is not None else max(len(demos), 1)
     if plan.scheme == "single":
-        pack = pack_prompt(demos, test, k=k_budget, l_max=l_max, fmt=fmt)
+        pack = pack_prompt(demos, test, k=max(len(demos), 1), l_max=l_max, fmt=fmt)
         return model.candidate_logprobs(pack, candidates)
 
     if plan.scheme == "ensemble":
@@ -190,16 +189,10 @@ def fused_logprobs(model, demos, test, candidates, plan, l_max, fmt="direct",
                          for c in candidates])
     scores = []
     for c in candidates:
-        cand_test = replace_test_answer(test, list(c))
+        cand_test = replace(test, y=list(c))
         enc = group_fid_encode(model, demos, cand_test, groups, l_max, fmt)
         scores.append(model.sequence_logprob(enc, list(test.x)).item())
     return np.array(scores)
-
-
-def replace_test_answer(test, y):
-    from .tasks import TaskExample
-    return TaskExample(x=list(test.x), y=list(y), task=test.task,
-                       options=test.options)
 
 
 def fused_predict(model, demos, test, candidates, plan, l_max, fmt="direct"):

@@ -145,15 +145,12 @@ class RelativeBiasTable:
     """Learned additive attention bias, indexed by (bucket, head)."""
 
     def __init__(self, num_heads, num_buckets=32, max_distance=128,
-                 bidirectional=True, rng=None, init_std=0.02):
+                 bidirectional=True, *, rng, init_std=0.02):
         self.num_heads = num_heads
         self.num_buckets = num_buckets
         self.max_distance = max_distance
         self.bidirectional = bidirectional
-        if rng is None:
-            weights = np.zeros((num_buckets, num_heads))
-        else:
-            weights = rng.normal(0.0, init_std, size=(num_buckets, num_heads))
+        weights = rng.normal(0.0, init_std, size=(num_buckets, num_heads))
         self.weights = Tensor(weights, requires_grad=True)
 
     def _bucket_matrix(self, deltas):
@@ -172,16 +169,13 @@ class RelativeBiasTable:
         return self.bias_block(length)
 
 
-def bias_for_layout(table, layout, structured):
-    """Bias tensor aligned with the (T, T) mask.
-
-    Structured: the same within-segment block on every segment diagonal,
-    exactly zero across segments (which is what makes demonstration
-    permutations invisible). Unstructured: buckets from global positions.
+def bias_for_layout(table, layout):
+    """Structured bias tensor aligned with the (T, T) mask: the same
+    within-segment block on every segment diagonal, exactly zero across
+    segments (which is what makes demonstration permutations invisible).
+    The dense baseline's bias is `table.bias_global(T)`.
     """
     T = layout.total_length
-    if not structured:
-        return table.bias_global(T)
     L = layout.segment_length
     pos_in_seg = np.arange(T) % L
     buckets = table._bucket_matrix(pos_in_seg[:, None] - pos_in_seg[None, :])

@@ -10,13 +10,12 @@ Three generator families, each exercising a different mechanism:
    a control for degenerate shortcuts.
 
 All token ids live in [2, vocab) because 0/1 are pad/start tokens.
-Datasets round-trip through JSON lines: one object per line with fields
-`task`, `input`, `output`, and optional `options`.
+Episodes are sampled on the fly, deterministically in (k, seed); nothing
+is read from or written to disk.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,15 +23,10 @@ import numpy as np
 TOKEN_BASE = 2  # first usable token id
 
 
-class DatasetFormatError(ValueError):
-    pass
-
-
 @dataclass
 class TaskExample:
     x: list
     y: list
-    task: str = ""
     options: list = None  # candidate continuations for classification
 
     def __post_init__(self):
@@ -51,8 +45,6 @@ class Episode:
 class TaskFamily:
     """Base class: a family draws a latent task instance per episode and
     i.i.d. examples from it."""
-
-    name = "family"
 
     def sample_episode(self, k, seed):
         """k demonstrations plus one test example sharing a latent task
@@ -76,8 +68,6 @@ class LookupFamily(TaskFamily):
     repeated keys give the matching signal several anchor positions. The
     pool size is a free parameter for harder variants."""
 
-    name = "lookup"
-
     def __init__(self, num_keys=2, arity=4, key_base=TOKEN_BASE, label_base=40):
         if num_keys < 2 or arity < 2:
             raise ValueError("need at least 2 keys and 2 labels")
@@ -93,11 +83,10 @@ class LookupFamily(TaskFamily):
         if k > kk:  # repeat keys consistently when k exceeds the pool
             keys = np.concatenate([keys, rng.choice(keys, size=k - kk)])
         mapping = {key: self.labels[rng.integers(self.arity)] for key in set(keys)}
-        demos = [TaskExample([int(key)], [mapping[key]], self.name,
-                             [list(o) for o in self.options])
-                 for key in keys]
+        demos = [TaskExample([int(key)], [mapping[key]],
+                             [list(o) for o in self.options]) for key in keys]
         test_key = int(keys[rng.integers(len(keys))])
-        test = TaskExample([test_key], [mapping[test_key]], self.name,
+        test = TaskExample([test_key], [mapping[test_key]],
                            [list(o) for o in self.options])
         return Episode(demos, test)
 
@@ -105,8 +94,6 @@ class LookupFamily(TaskFamily):
 class LinearLabelFamily(TaskFamily):
     """Label index = (a * t + b) mod arity for input token offset t; the
     episode's latent (a, b) must be inferred from the demonstrations."""
-
-    name = "linear"
 
     def __init__(self, input_range=16, arity=4, input_base=TOKEN_BASE,
                  label_base=40):
@@ -125,7 +112,7 @@ class LinearLabelFamily(TaskFamily):
         ts = rng.integers(self.input_range, size=k + 1)
         examples = [
             TaskExample([self.input_base + int(t)], [self._label(int(t), a, b)],
-                        self.name, [list(o) for o in self.options])
+                        [list(o) for o in self.options])
             for t in ts
         ]
         return Episode(examples[:-1], examples[-1])
@@ -134,8 +121,6 @@ class LinearLabelFamily(TaskFamily):
 class CopyOffsetFamily(TaskFamily):
     """y is x shifted by the episode's latent offset; candidates are the
     test input under every possible offset."""
-
-    name = "copy"
 
     def __init__(self, max_offset=4, seq_len=3, input_range=20,
                  input_base=TOKEN_BASE):
@@ -155,7 +140,7 @@ class CopyOffsetFamily(TaskFamily):
             x = [self.input_base + int(t)
                  for t in rng.integers(self.input_range, size=self.seq_len)]
             opts = [self._apply(x, o) for o in range(1, self.max_offset + 1)]
-            return TaskExample(x, self._apply(x, off), self.name, opts)
+            return TaskExample(x, self._apply(x, off), opts)
 
         demos = [example() for _ in range(k)]
         return Episode(demos, example())
@@ -172,36 +157,3 @@ def make_family(name, **kwargs):
     if name not in FAMILIES:
         raise ValueError(f"unknown task family {name!r}; choose from {sorted(FAMILIES)}")
     return FAMILIES[name](**kwargs)
-
-
-# ---------------------------------------------------------------------
-# JSON-lines dataset I/O
-# ---------------------------------------------------------------------
-
-def write_dataset(path, examples):
-    with open(path, "w") as fh:
-        for ex in examples:
-            rec = {"task": ex.task, "input": list(ex.x), "output": list(ex.y)}
-            if ex.options is not None:
-                rec["options"] = [list(o) for o in ex.options]
-            fh.write(json.dumps(rec) + "\n")
-
-
-def read_dataset(path):
-    examples = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise DatasetFormatError(f"{path}:{lineno}: malformed JSON: {err}") from err
-            for key in ("task", "input", "output"):
-                if key not in rec:
-                    raise DatasetFormatError(f"{path}:{lineno}: missing field {key!r}")
-            examples.append(TaskExample(
-                x=list(rec["input"]), y=list(rec["output"]), task=rec["task"],
-                options=[list(o) for o in rec["options"]] if "options" in rec else None))
-    return examples

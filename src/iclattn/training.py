@@ -1,8 +1,7 @@
 """Meta-training over synthetic task families.
 
 Each step samples a batch of episodes, packs them into prompts, and
-minimizes the cross-entropy of the gold answer against the episode's
-candidate options (plain gold log-probability when no options exist).
+minimizes `batch_loss`: candidate cross-entropy (direct) or NLL (channel).
 The learning rate warms up linearly to its peak over the first fraction
 of steps, then decays linearly to zero.
 """
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .fusion import FusionPlan, fused_predict, pack_prompt
+from .fusion import FORMATS, FusionPlan, fused_predict, pack_prompt
 
 
 class NonFiniteLossError(RuntimeError):
@@ -29,7 +28,6 @@ class NonFiniteGradientError(RuntimeError):
 @dataclass
 class TrainConfig:
     train_k: int = 8
-    test_k: tuple = (2, 4, 8)
     steps: int = 3000
     # At batch 8 the dense-attention baseline's escape from the
     # label-frequency plateau within 3000 steps hinged on float rounding
@@ -48,10 +46,12 @@ class TrainConfig:
     def __post_init__(self):
         if not (0.0 <= self.warmup_frac < 1.0):
             raise ValueError("warmup_frac must lie in [0, 1)")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.optimizer not in ("adam", "adafactor"):
+        if min(self.steps, self.train_k, self.batch_size, self.l_max) < 1:
+            raise ValueError("steps, train_k, batch_size and l_max must be >= 1")
+        if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.fmt not in FORMATS:
+            raise ValueError(f"unknown prompt format {self.fmt!r}")
 
 
 def lr_schedule(step, cfg):
@@ -203,58 +203,46 @@ class Adafactor:
             p.grad = None
 
 
+OPTIMIZERS = {"adam": Adam, "adafactor": Adafactor}
+
+
 def make_optimizer(kind, params):
-    return Adam(params) if kind == "adam" else Adafactor(params)
+    if kind not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {kind!r}")
+    return OPTIMIZERS[kind](params)
 
 
 def batch_loss(model, episodes, cfg):
-    """Mean cross-entropy of the gold answer against the episode's
-    candidate options (so an untrained model scores ~log(num options),
-    not log(vocab)). Episodes without options, and channel-format packs
-    (whose candidate lives in the encoder rather than the continuation),
-    fall back to plain negative log-probability of the gold continuation.
-
-    Same-shape batches take the folded fast path; ragged ones fall back
-    to a per-episode loop.
-    """
+    """Mean loss over a batch, from one encoder pass over its B prompts and
+    one decoder pass over their continuations: in direct format the
+    cross-entropy of the gold answer against the episode's C options (so
+    an untrained model scores ~log C, not log(vocab)); in channel format,
+    where the candidate is in the encoder, the test input's negative
+    log-probability. Raises ValueError, before any encoder pass, unless the
+    prompts share one layout and every episode has the same number of
+    continuations (none for a direct episode without options), all of one
+    length."""
     packs = [pack_prompt(ep.demos, ep.test, k=cfg.train_k, l_max=cfg.l_max,
                          fmt=cfg.fmt) for ep in episodes]
-    opts = [ep.test.options for ep in episodes]
-    layout = packs[0].layout()
-    uniform = (
-        cfg.fmt == "direct"
-        and all(p.layout() == layout for p in packs[1:])
-        and all(o is not None for o in opts)
-        and len({len(o) for o in opts}) == 1
-        and len({len(c) for o in opts for c in o}) == 1
-    )
-    B = len(packs)
-    if uniform:
-        # one decoder pass over B*C continuations, episode-major; each
-        # episode's encoder states are projected for cross-attention once
-        C = len(opts[0])
-        states, key_valid = model.encode_batch(packs)
-        conts = [list(c) for o in opts for c in o]
-        lp = model.batch_logprobs(states, key_valid, conts)      # (B*C,)
-        scores = tz.reshape(lp, (B, C))
-        gold = np.array([opts[b].index(list(episodes[b].test.y))
-                         for b in range(B)], dtype=np.int64)
-        picked = tz.gather_last(tz.log_softmax_last(scores), gold)
-        return tz.scale(tz.tsum(picked), -1.0 / B)
-    total = None
-    for ep, pack in zip(episodes, packs):
-        enc = model.encode(pack)
-        if ep.test.options is None or cfg.fmt != "direct":
-            nll = tz.scale(model.sequence_logprob(enc, pack.score_tokens), -1.0)
-        else:
-            cand = [model.sequence_logprob(enc, list(c))
-                    for c in ep.test.options]
-            scores = tz.reshape(tz.concat(cand, axis=0), (1, len(cand)))
-            gold = np.array([ep.test.options.index(list(ep.test.y))])
-            nll = tz.scale(
-                tz.gather_last(tz.log_softmax_last(scores), gold), -1.0)
-        total = nll if total is None else tz.add(total, nll)
-    return tz.scale(total, 1.0 / B)
+    if cfg.fmt == "channel":
+        conts = [[list(p.score_tokens)] for p in packs]
+    else:
+        conts = [[list(c) for c in ep.test.options or ()] for ep in episodes]
+    if (len({len(cs) for cs in conts}) != 1
+            or len({len(c) for cs in conts for c in cs}) != 1):
+        raise ValueError("batch_loss needs the same number of continuations "
+                         "(options, in direct format), all of one length, "
+                         "in every episode")
+    # encode_batch rejects differing layouts before it encodes
+    states, key_valid = model.encode_batch(packs)
+    lp = model.batch_logprobs(states, key_valid,
+                              [c for cs in conts for c in cs])     # (B*C,)
+    B, C = len(conts), len(conts[0])
+    if cfg.fmt == "direct":
+        gold = np.array([ep.test.options.index(list(ep.test.y))
+                         for ep in episodes], dtype=np.int64)
+        lp = tz.gather_last(tz.log_softmax_last(tz.reshape(lp, (B, C))), gold)
+    return tz.scale(tz.tsum(lp), -1.0 / B)
 
 
 def grad_norm(params):

@@ -178,7 +178,7 @@ def _fused_setup(layout, prompts, seed):
                 table.bias_block(layout.segment_length), prompts)),
         lambda: full_attention(
             q, k, v, build_structured_mask(layout), tile_bias(
-                bias_for_layout(table, layout, structured=True), prompts)),
+                bias_for_layout(table, layout), prompts)),
     ]
 
     def oracle():

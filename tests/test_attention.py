@@ -99,10 +99,10 @@ class TestPermutationEquivariance:
         layout = full_layout(3, 2)
         table = RelativeBiasTable(1, num_buckets=8, max_distance=16,
                                   rng=rng, init_std=1.0)
-        from iclattn.segments import bias_for_layout, build_full_mask
+        from iclattn.segments import build_full_mask
         q, key, v = random_qkv(rng, 1, layout.total_length, 4)
         mask = build_full_mask(layout)
-        bias = bias_for_layout(table, layout, structured=False)
+        bias = table.bias_global(layout.total_length)
         out = full_attention(q, key, v, mask=mask, bias=bias).data
         perm = (2, 0, 1)
         qp = Tensor(permute_segments(layout, q.data, perm, axis=1))

@@ -3,7 +3,6 @@ import pytest
 
 from iclattn import cli
 from iclattn.bench import BenchSpec
-from iclattn.tasks import read_dataset
 from iclattn.training import TrainConfig
 
 
@@ -21,16 +20,63 @@ class TestConfigFile:
             cli.read_config_file(path)
 
     def test_apply_coerces_types(self):
-        cfg = TrainConfig()
-        cli.apply_config(cfg, {"steps": "7", "lr": "0.5", "test_k": "2,4",
-                               "optimizer": "adafactor", "unknown": "x"})
+        cfg = cli.apply_config(TrainConfig(), {
+            "steps": "7", "lr": "0.5", "optimizer": "adafactor"})
         assert cfg.steps == 7 and cfg.lr == 0.5
-        assert cfg.test_k == (2, 4) and cfg.optimizer == "adafactor"
+        assert cfg.optimizer == "adafactor"
+        spec = cli.apply_config(BenchSpec(), {"k_grid": "2, 4",
+                                              "variants": "structured"})
+        assert spec.k_grid == (2, 4) and spec.variants == ("structured",)
+        with pytest.raises(ValueError, match="unknown config key"):
+            cli.apply_config(TrainConfig(), {"unknown": "x"})
 
     def test_apply_to_bench_spec(self):
-        spec = BenchSpec()
-        cli.apply_config(spec, {"repetitions": "5", "mem_budget_bytes": "1e6"})
+        spec = cli.apply_config(BenchSpec(), {"repetitions": "5",
+                                              "mem_budget_bytes": "1e6"})
         assert spec.repetitions == 5 and spec.mem_budget_bytes == 1e6
+
+    @pytest.mark.parametrize("command, text", [
+        ("train", "optimizer = sgd\n"),
+        ("train", "steps = 0\n"),
+        ("train", "stpes = 5\n"),
+        ("train", "lr = fast\n"),
+        ("bench", "variants = structured,sparse\n"),
+        ("train", None),
+    ], ids=["unknown_optimizer", "zero_steps", "unknown_key", "bad_value",
+            "unknown_variant", "missing_file"])
+    def test_config_error_is_usage_error(self, command, text, tmp_path,
+                                         capsys, monkeypatch):
+        """A bad config file exits 2 with a usage error, before any model
+        is built or any benchmark cell runs."""
+        monkeypatch.setattr(cli, "EncoderDecoder", None)
+        monkeypatch.setattr(cli.bench_mod, "run_bench", None)
+        path = tmp_path / "f.cfg"
+        if text is not None:
+            path.write_text(text)
+        assert cli.main([command, "--config", str(path)]) == 2
+        assert f"iclattn {command}: error: " in capsys.readouterr().err
+
+    def test_flag_wins_over_config_file(self, tmp_path, capsys):
+        path = tmp_path / "f.cfg"
+        path.write_text("steps = 3\nbatch_size = 2\ntrain_k = 2\n")
+        log = tmp_path / "log.csv"
+        assert cli.main(["train", "--steps", "1", "--config", str(path),
+                         "--log-csv", str(log)]) == 0
+        assert len(log.read_text().strip().splitlines()) == 1 + 1
+
+    def test_config_file_wins_over_flag_defaults(self, tmp_path,
+                                                 monkeypatch):
+        """Only flags given on the command line override the file, and
+        ICLATTN_SEED overrides both."""
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        path = tmp_path / "f.cfg"
+        path.write_text("seed = 5\nrepetitions = 4\nwarmup = 3\n")
+        args = cli.build_parser().parse_args(
+            ["bench", "--config", str(path), "--warmup", "1"])
+        spec = cli._build_config(BenchSpec, args)
+        assert (spec.seed, spec.repetitions, spec.warmup) == (5, 4, 1)
+        monkeypatch.setenv(cli.SEED_ENV, "9")
+        assert cli._build_config(BenchSpec, args).seed == 9
 
 
 class TestSeedOverride:
@@ -60,13 +106,6 @@ class TestCommands:
         assert cli.main(["verify", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "oracle-equivalence" in out and "pass" in out
-
-    def test_gen_data_round_trips(self, tmp_path, capsys):
-        out = tmp_path / "data.jsonl"
-        assert cli.main(["gen-data", "--family", "lookup", "--episodes", "3",
-                         "--k", "2", "--out", str(out)]) == 0
-        examples = read_dataset(out)
-        assert len(examples) == 3 * 3   # k demos + test per episode
 
     def test_train_then_eval_checkpoint(self, tmp_path, capsys):
         ckpt = tmp_path / "model.npz"
@@ -145,3 +184,11 @@ class TestCommands:
         cfg = tmp_path / "train.cfg"
         cfg.write_text("steps=2\nbatch_size=2\ntrain_k=2\n")
         assert cli.main(["train", "--config", str(cfg)]) == 0
+
+    def test_bench_config_tuple_of_strings(self, tmp_path, capsys):
+        path = tmp_path / "f.cfg"
+        path.write_text("variants = structured\nk_grid = 1\nlengths = 2\n"
+                        "repetitions = 3\nwarmup = 0\n")
+        assert cli.main(["bench", "--config", str(path)]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["structured"]

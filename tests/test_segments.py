@@ -149,7 +149,7 @@ class TestBiasForLayout:
 
     def test_structured_blocks_identical(self):
         layout = full_layout(2, 3)
-        bias = bias_for_layout(self.table, layout, structured=True).data
+        bias = bias_for_layout(self.table, layout).data
         block1 = bias[:, 0:3, 0:3]
         block2 = bias[:, 3:6, 3:6]
         np.testing.assert_array_equal(block1, block2)
@@ -157,7 +157,7 @@ class TestBiasForLayout:
 
     def test_structured_cross_segment_exactly_zero(self):
         layout = full_layout(3, 2)
-        bias = bias_for_layout(self.table, layout, structured=True).data
+        bias = bias_for_layout(self.table, layout).data
         L = 2
         for i in range(4):
             for j in range(4):
@@ -167,7 +167,7 @@ class TestBiasForLayout:
 
     def test_unstructured_uses_global_positions(self):
         layout = full_layout(1, 2)
-        bias = bias_for_layout(self.table, layout, structured=False).data
+        bias = self.table.bias_global(layout.total_length).data
         bucket = relative_bucket(0 - 3, self.table.num_buckets,
                                  self.table.max_distance)
         np.testing.assert_array_equal(bias[:, 0, 3],

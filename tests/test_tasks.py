@@ -1,8 +1,7 @@
 import pytest
 
-from iclattn.tasks import (DatasetFormatError, LinearLabelFamily,
-                           LookupFamily, TaskExample, make_family,
-                           read_dataset, write_dataset)
+from iclattn.tasks import (LinearLabelFamily, LookupFamily, TaskExample,
+                           make_family)
 
 
 class TestTaskExample:
@@ -96,33 +95,3 @@ class TestMakeFamily:
     def test_kwargs_forwarded(self):
         fam = make_family("lookup", num_keys=4)
         assert fam.num_keys == 4
-
-
-class TestDatasetIO:
-    def test_round_trip(self, tmp_path):
-        fam = LookupFamily()
-        ep = fam.sample_episode(4, 0)
-        examples = ep.demos + [ep.test]
-        path = tmp_path / "data.jsonl"
-        write_dataset(path, examples)
-        back = read_dataset(path)
-        assert len(back) == len(examples)
-        for a, b in zip(examples, back):
-            assert (a.x, a.y, a.task, a.options) == (b.x, b.y, b.task, b.options)
-
-    def test_malformed_json_reports_line(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"task": "t", "input": [2], "output": [3]}\n{oops\n')
-        with pytest.raises(DatasetFormatError, match="2"):
-            read_dataset(path)
-
-    def test_missing_field_reports_line(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"task": "t", "input": [2]}\n')
-        with pytest.raises(DatasetFormatError, match="output"):
-            read_dataset(path)
-
-    def test_blank_lines_skipped(self, tmp_path):
-        path = tmp_path / "data.jsonl"
-        path.write_text('\n{"task": "t", "input": [2], "output": [3]}\n\n')
-        assert len(read_dataset(path)) == 1

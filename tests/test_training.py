@@ -35,6 +35,8 @@ class TestConfig:
     def test_unknown_optimizer(self):
         with pytest.raises(ValueError):
             TrainConfig(optimizer="sgd")
+        with pytest.raises(ValueError, match="sgd"):
+            make_optimizer("sgd", tiny_model().parameters())
 
 
 class TestSchedule:
@@ -116,21 +118,74 @@ class TestBatchLoss:
             np.testing.assert_allclose(p.grad, ref_grads[n], rtol=0,
                                        atol=1e-9, err_msg=n)
 
-    def test_fallback_without_options_is_plain_nll(self):
+    @pytest.mark.parametrize("family", [LookupFamily(), CopyOffsetFamily()],
+                             ids=["lookup", "copy"])
+    @pytest.mark.parametrize("variant", ["structured", "full"])
+    def test_channel_matches_per_episode_reference(self, variant, family):
+        """The channel loss, from one encoder and one decoder pass, against
+        the mean over episodes of -log p(x_test | prompt ending in y_test),
+        each from its own encoder and decoder pass: loss and gradients."""
+        model = tiny_model(variant=variant)
+        cfg = tiny_cfg(fmt="channel")
+        eps = sample_batch(family, cfg.train_k, cfg.batch_size,
+                           np.random.default_rng(5))
+        params = model.parameters()
+
+        total = None
+        for ep in eps:
+            pack = pack_prompt(ep.demos, ep.test, k=cfg.train_k,
+                               l_max=cfg.l_max, fmt="channel")
+            nll = tz.scale(model.sequence_logprob(model.encode(pack),
+                                                  pack.score_tokens), -1.0)
+            total = nll if total is None else tz.add(total, nll)
+        ref = tz.scale(total, 1.0 / len(eps))
+        tz.backward(ref)
+        ref_grads = {n: p.grad for n, p in params.items()}
+
+        for p in params.values():
+            p.grad = None
+        batched = batch_loss(model, eps, cfg)
+        tz.backward(batched)
+        assert batched.item() == pytest.approx(ref.item(), abs=1e-9)
+        for n, p in params.items():
+            np.testing.assert_allclose(p.grad, ref_grads[n], rtol=0,
+                                       atol=1e-9, err_msg=n)
+
+    @pytest.mark.parametrize("case, match", [
+        ("layouts", "identical layouts"),
+        ("no_options", "same number of continuations"),
+        ("no_options_at_all", "same number of continuations"),
+        ("option_count", "same number of continuations"),
+        ("option_length", "same number of continuations"),
+    ], ids=["layouts", "no_options", "no_options_at_all", "option_count",
+            "option_length"])
+    def test_ragged_batch_raises_before_encoding(self, case, match,
+                                                 monkeypatch):
+        """Batches that one encoder pass and one decoder pass cannot
+        take raise ValueError, and no encoder pass runs."""
         from iclattn.tasks import Episode, TaskExample
         model = tiny_model()
-        cfg = tiny_cfg(train_k=2, batch_size=2)
-        eps = [Episode([TaskExample([2], [3]), TaskExample([4], [5])],
-                       TaskExample([6], [7])),
-               Episode([TaskExample([8, 9], [10]), TaskExample([11], [12])],
-                       TaskExample([13], [14, 15]))]   # ragged on purpose
-        loss = batch_loss(model, eps, cfg).item()
-        expect = 0.0
-        for ep in eps:
-            pack = pack_prompt(ep.demos, ep.test, k=2, l_max=cfg.l_max)
-            expect -= model.sequence_logprob(model.encode(pack),
-                                             pack.score_tokens).item()
-        assert loss == pytest.approx(expect / 2, abs=1e-9)
+        passes = []
+        monkeypatch.setattr(model, "_encoder",
+                            lambda *a: passes.append(a))
+        opts = [[[7], [8]], [[7], [8]]]
+        demo_x = [[2], [3]]
+        test_y = [[7], [7]]
+        if case == "layouts":
+            demo_x[1] = [3, 4]
+        elif case == "no_options":
+            opts[1] = None
+        elif case == "no_options_at_all":
+            opts = [None, None]
+        elif case == "option_count":
+            opts[1] = [[7], [8], [9]]
+        else:
+            opts[1], test_y[1] = [[7, 7], [8, 8]], [7, 7]
+        eps = [Episode([TaskExample(x, [5])], TaskExample([6], y, options=o))
+               for x, y, o in zip(demo_x, test_y, opts)]
+        with pytest.raises(ValueError, match=match):
+            batch_loss(model, eps, tiny_cfg(train_k=1, batch_size=2))
+        assert passes == []
 
     def test_finite_difference_gradient(self):
         fam = LookupFamily()
@@ -330,13 +385,13 @@ class TestOptimizers:
 
 class TestMixedPrecision:
     @pytest.mark.parametrize("fmt", ["direct", "channel"],
-                             ids=["folded", "per_episode"])
+                             ids=["folded", "channel"])
     @pytest.mark.parametrize("variant", ["structured", "full"])
     def test_adam_step_tape_is_float32(self, monkeypatch, variant, fmt):
         """Every node the tape records during an Adam step, and every
         gradient the backward hands on, is float32: an op that upcasts to
-        float64 shows here. The channel format takes the per-episode
-        fallback, and the small clip norm makes the clip rescale every
+        float64 shows here. The channel format scores one continuation
+        per episode, and the small clip norm makes the clip rescale every
         gradient."""
         model = tiny_model(variant=variant)
         cfg = tiny_cfg(batch_size=2, train_k=2, fmt=fmt, grad_clip=1e-3)
