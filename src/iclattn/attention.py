@@ -29,7 +29,7 @@ import numpy as np
 
 from . import tensor as tz
 from .segments import bias_for_layout, build_structured_mask
-from .tensor import add, concat, constant, contract, scale, softmax_last
+from .tensor import add, constant, contract, scale, softmax_last
 
 VARIANTS = ("full", "structured")
 
@@ -39,12 +39,6 @@ def _softmax_grad_inplace(dp, p):
     dp -= np.einsum("...r,...r->...", dp, p)[..., None]
     dp *= p
     return dp
-
-
-def tile_bias(bias, prompts):
-    """A per-head bias repeated for `prompts` prompts folded into the
-    leading (head) axis, prompt-major, as the batched paths lay them out."""
-    return bias if prompts == 1 else concat([bias] * prompts, axis=0)
 
 
 def _dense_node(q, k, v, mask_values, bias):
@@ -84,9 +78,11 @@ def _dense_node(q, k, v, mask_values, bias):
 def full_attention(q, k, v, mask, bias=None):
     """z = softmax(q k^T + bias + mask) v, per head.
 
-    q: (H, Tq, d); k, v: (H, Tk, d). mask: AttentionMask, additive array
-    broadcastable to (H, Tq, Tk), or None. bias: tensor broadcastable to
-    (H, Tq, Tk), or None. One dense score matrix, no blocks.
+    q: (..., Tq, d); k, v: (..., Tk, d), with any leading axes, such as
+    (B, H). mask: AttentionMask, additive array broadcastable to
+    (..., Tq, Tk), or None. bias: tensor broadcastable to (..., Tq, Tk),
+    such as a shared (H, Tq, Tk), or None. One dense score matrix, no
+    blocks.
     """
     return _dense_node(q, k, v, getattr(mask, "values", mask), bias)
 
@@ -94,13 +90,14 @@ def full_attention(q, k, v, mask, bias=None):
 def structured_attention(q, k, v, layout, bias_block=None):
     """Block-structured attention over a segmented prompt.
 
-    q, k, v: (H, (k+1)*L, d). Demonstration-segment rows normalize over
-    the concatenation of their own diagonal block and the test block;
-    test rows normalize over the whole row. `bias_block` is the shared
-    (H, L, L) within-segment bias, applied on every segment diagonal and
-    nowhere else.
+    q, k, v: (..., (k+1)*L, d), with any leading axes, such as (B, H).
+    Demonstration-segment rows normalize over the concatenation of their
+    own diagonal block and the test block; test rows normalize over the
+    whole row. `bias_block` is the within-segment bias, broadcastable to
+    (..., L, L) (the model's is a shared (H, L, L)), applied on every
+    segment diagonal and nowhere else.
     """
-    H, T, d = q.data.shape
+    *lead, T, d = q.data.shape
     K = layout.num_demos
     L = layout.segment_length
     if T != layout.total_length:
@@ -111,74 +108,77 @@ def structured_attention(q, k, v, layout, bias_block=None):
         return _dense_node(q, k, v, key_mask, bias_block)
 
     KL = K * L
+    blocks = (*lead, K, L, d)
     c = d ** -0.5
     qs = q.data * c
     kd, vd = k.data, v.data
-    qdf, qt = qs[:, :KL], qs[:, KL:]            # (H, KL, d), (H, L, d)
-    qd = qdf.reshape(H, K, L, d)
-    kdem, kt = kd[:, :KL].reshape(H, K, L, d), kd[:, KL:]
-    vdem, vt = vd[:, :KL].reshape(H, K, L, d), vd[:, KL:]
+    qdf, qt = qs[..., :KL, :], qs[..., KL:, :]  # (..., KL, d), (..., L, d)
+    qd = qdf.reshape(blocks)
+    kdem, kt = kd[..., :KL, :].reshape(blocks), kd[..., KL:, :]
+    vdem, vt = vd[..., :KL, :].reshape(blocks), vd[..., KL:, :]
     block_mask = key_mask.reshape(K + 1, L)
     bias = None if bias_block is None else bias_block.data
 
     # demonstration rows: [own diagonal block || test block]
     dtype = q.data.dtype
-    sd = np.empty((H, K, L, 2 * L), dtype=dtype)
+    sd = np.empty((*lead, K, L, 2 * L), dtype=dtype)
     np.matmul(qd, kdem.swapaxes(-1, -2), out=sd[..., :L])
     sd[..., :L] += block_mask[:K, None, :]
     if bias is not None:
-        sd[..., :L] += bias[:, None]
-    sd[..., L:] = np.matmul(qdf, kt.swapaxes(-1, -2)).reshape(H, K, L, L)
+        sd[..., :L] += bias[..., None, :, :]
+    sd[..., L:] = np.matmul(qdf, kt.swapaxes(-1, -2)).reshape(
+        *lead, K, L, L)
     sd[..., L:] += block_mask[K]
     pd = tz._softmax_inplace(sd)
-    pdd, pdt = pd[..., :L], pd[..., L:].reshape(H, KL, L)
+    pdd, pdt = pd[..., :L], pd[..., L:].reshape(*lead, KL, L)
 
     # test rows: global attention over the whole sequence
-    st = np.matmul(qt, kd.swapaxes(-1, -2))     # (H, L, T)
+    st = np.matmul(qt, kd.swapaxes(-1, -2))     # (..., L, T)
     st += key_mask
     if bias is not None:
         st[..., KL:] += bias
     pt = tz._softmax_inplace(st)
 
-    z = np.empty((H, T, d), dtype=dtype)
-    np.matmul(pdd, vdem, out=z[:, :KL].reshape(H, K, L, d))
-    z[:, :KL] += np.matmul(pdt, vt)
-    np.matmul(pt, vd, out=z[:, KL:])
+    z = np.empty((*lead, T, d), dtype=dtype)
+    np.matmul(pdd, vdem, out=z[..., :KL, :].reshape(blocks))
+    z[..., :KL, :] += np.matmul(pdt, vt)
+    np.matmul(pt, vd, out=z[..., KL:, :])
 
     def back(g):
-        gdf, gt = g[:, :KL], g[:, KL:]
-        gd = gdf.reshape(H, K, L, d)
+        gdf, gt = g[..., :KL, :], g[..., KL:, :]
+        gd = gdf.reshape(blocks)
         if tz._tracked(v):
-            dv = np.matmul(pt.swapaxes(-1, -2), gt)            # (H, T, d)
-            dv_diag = dv[:, :KL].reshape(H, K, L, d)
+            dv = np.matmul(pt.swapaxes(-1, -2), gt)            # (..., T, d)
+            dv_diag = dv[..., :KL, :].reshape(blocks)
             dv_diag += np.matmul(pdd.swapaxes(-1, -2), gd)
-            dv[:, KL:] += np.matmul(pdt.swapaxes(-1, -2), gdf)
+            dv[..., KL:, :] += np.matmul(pdt.swapaxes(-1, -2), gdf)
             tz._accumulate(v, dv)
         need_q, need_k = tz._tracked(q), tz._tracked(k)
         need_bias = bias_block is not None and tz._tracked(bias_block)
         if not (need_q or need_k or need_bias):
             return
         dst = _softmax_grad_inplace(np.matmul(gt, vd.swapaxes(-1, -2)), pt)
-        dsd = np.empty((H, K, L, 2 * L), dtype=dtype)
+        dsd = np.empty((*lead, K, L, 2 * L), dtype=dtype)
         np.matmul(gd, vdem.swapaxes(-1, -2), out=dsd[..., :L])
-        dsd[..., L:] = np.matmul(gdf, vt.swapaxes(-1, -2)).reshape(H, K, L, L)
+        dsd[..., L:] = np.matmul(gdf, vt.swapaxes(-1, -2)).reshape(
+            *lead, K, L, L)
         _softmax_grad_inplace(dsd, pd)
-        dsdd, dsdt = dsd[..., :L], dsd[..., L:].reshape(H, KL, L)
+        dsdd, dsdt = dsd[..., :L], dsd[..., L:].reshape(*lead, KL, L)
         if need_q:
-            dq = np.empty((H, T, d), dtype=dtype)
-            np.matmul(dsdd, kdem, out=dq[:, :KL].reshape(H, K, L, d))
-            dq[:, :KL] += np.matmul(dsdt, kt)
-            np.matmul(dst, kd, out=dq[:, KL:])
+            dq = np.empty((*lead, T, d), dtype=dtype)
+            np.matmul(dsdd, kdem, out=dq[..., :KL, :].reshape(blocks))
+            dq[..., :KL, :] += np.matmul(dsdt, kt)
+            np.matmul(dst, kd, out=dq[..., KL:, :])
             dq *= c
             tz._accumulate(q, dq)
         if need_k:
-            dk = np.matmul(dst.swapaxes(-1, -2), qt)           # (H, T, d)
-            dk_diag = dk[:, :KL].reshape(H, K, L, d)
+            dk = np.matmul(dst.swapaxes(-1, -2), qt)           # (..., T, d)
+            dk_diag = dk[..., :KL, :].reshape(blocks)
             dk_diag += np.matmul(dsdd.swapaxes(-1, -2), qd)
-            dk[:, KL:] += np.matmul(dsdt.swapaxes(-1, -2), qdf)
+            dk[..., KL:, :] += np.matmul(dsdt.swapaxes(-1, -2), qdf)
             tz._accumulate(k, dk)
         if need_bias:
-            db = dsdd.sum(axis=1)
+            db = dsdd.sum(axis=-3)
             db += dst[..., KL:]
             tz._accumulate(bias_block, tz._unbroadcast(db, bias.shape))
 
@@ -189,16 +189,16 @@ def structured_attention(q, k, v, layout, bias_block=None):
 def dense_structured_reference(q, k, v, layout, table):
     """Oracle route for the structured path: dense attention under the
     structured mask with the structured bias placement, composed from
-    primitive tape ops. The leading axis may merge a batch of prompts
-    with the table's heads, as the model's batched path does."""
+    primitive tape ops. q, k, v: (..., T, d); the table's (H, T, T) bias
+    broadcasts over the leading axes."""
     mask = build_structured_mask(layout)
+    lead = "ABCDEF"[:q.data.ndim - 2]
     q = scale(q, q.data.shape[-1] ** -0.5)
-    scores = add(contract("htd,hrd->htr", q, k), constant(mask.values))
+    scores = add(contract(f"{lead}td,{lead}rd->{lead}tr", q, k),
+                 constant(mask.values))
     if table:
-        bias = bias_for_layout(table, layout)
-        scores = add(scores, tile_bias(
-            bias, q.data.shape[0] // table.num_heads))
-    return contract("htr,hrd->htd", softmax_last(scores), v)
+        scores = add(scores, bias_for_layout(table, layout))
+    return contract(f"{lead}tr,{lead}rd->{lead}td", softmax_last(scores), v)
 
 
 def score_storage(k, L):

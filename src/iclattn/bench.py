@@ -45,6 +45,10 @@ class BenchSpec:
             raise ValueError("k grid must be strictly increasing")
         if not set(self.variants) <= set(VARIANTS):
             raise ValueError(f"unknown variant in {self.variants}")
+        if min(self.lengths) < 1 or min(self.k_grid) < 0:
+            raise ValueError("lengths must be >= 1 and the k grid >= 0")
+        if min(self.heads, self.head_dim) < 1:
+            raise ValueError("heads and head_dim must be >= 1")
 
 
 @dataclass
@@ -61,8 +65,7 @@ class BenchRecord:
 
 def _dense_bytes(k, L, heads):
     # score matrix + probability matrix, float64
-    T = (k + 1) * L
-    return 2 * heads * T * T * 8
+    return 2 * heads * score_storage(k, L)["full"] * 8
 
 
 def _time_cell(variant, k, L, spec, rng):

@@ -169,14 +169,15 @@ def cmd_train(args):
     return 0
 
 
-def _eval_usage_error(scheme, groups, test_k):
-    """The usage error in `--test-k` or `--groups` for this scheme, or
-    None. FiD always encodes one demonstration per group, so it takes no
-    other group count."""
-    if test_k < 1:
-        return f"--test-k must be >= 1, got {test_k}"
-    if groups < 1:
-        return f"--groups must be >= 1, got {groups}"
+def _eval_usage_error(args, scheme):
+    """The usage error in the `eval` counts for this scheme, or None. FiD
+    always encodes one demonstration per group, so it takes no other group
+    count."""
+    for name in ("test_k", "groups", "episodes", "seeds", "l_max"):
+        value = getattr(args, name)
+        if value < 1:
+            return f"--{name.replace('_', '-')} must be >= 1, got {value}"
+    groups, test_k = args.groups, args.test_k
     if scheme in ("single", "fid") and groups != 1:
         return f"--groups {groups} needs --scheme group-fid or ensemble"
     if groups > test_k:
@@ -186,7 +187,7 @@ def _eval_usage_error(scheme, groups, test_k):
 
 def cmd_eval(args):
     scheme = args.scheme.replace("-", "_")
-    error = _eval_usage_error(scheme, args.groups, args.test_k)
+    error = _eval_usage_error(args, scheme)
     if error:
         return _usage_error("eval", error)
     family = tasks.make_family(args.family)

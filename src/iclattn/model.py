@@ -148,8 +148,9 @@ class EncoderDecoder:
     def parameters(self):
         return self.params
 
-    # The projection helpers take a batch (B, T, d), folded into the head
-    # axis, so the attention kernels run once per layer, not per prompt.
+    # The projection helpers take a batch (B, T, d) and hand the attention
+    # nodes (B, H, T, dh) head views, so the kernels run once per layer,
+    # not per prompt, and a per-head bias broadcasts over the batch.
     def _project(self, x, prefix, kv_from=None):
         p, H = self.params, self.config.heads
         kv = x if kv_from is None else kv_from
@@ -158,8 +159,8 @@ class EncoderDecoder:
         v = tz.split_heads(tz.linear(kv, p[f"{prefix}.wv"]), H)
         return q, k, v
 
-    def _out(self, z, prefix, lead):
-        return tz.linear(tz.merge_heads(z, lead), self.params[f"{prefix}.wo"])
+    def _out(self, z, prefix):
+        return tz.linear(tz.merge_heads(z), self.params[f"{prefix}.wo"])
 
     def _ffn(self, x, prefix):
         p = self.params
@@ -192,7 +193,6 @@ class EncoderDecoder:
         """Encoder layers over (B, T) token ids of B prompts sharing
         `layout`. Returns the states (B, T, d)."""
         self._check_tokens(tokens)
-        B = tokens.shape[0]
         structured = self.config.variant == "structured"
         if structured:
             bias = self.enc_bias.bias_block(layout.segment_length)
@@ -205,11 +205,10 @@ class EncoderDecoder:
             h = self._ln(x, f"enc.{i}.ln1")
             qkv = self._project(h, f"enc.{i}.attn")
             if structured:
-                z = attn.structured_attention(
-                    *qkv, layout, bias_block=attn.tile_bias(bias, B))
+                z = attn.structured_attention(*qkv, layout, bias_block=bias)
             else:
-                z = attn.full_attention(*qkv, mask, attn.tile_bias(bias, B))
-            x = tz.add(x, self._out(z, f"enc.{i}.attn", (B,)))
+                z = attn.full_attention(*qkv, mask, bias)
+            x = tz.add(x, self._out(z, f"enc.{i}.attn"))
             x = tz.add(x, self._ffn(self._ln(x, f"enc.{i}.ln2"), f"enc.{i}.ffn"))
         return self._ln(x, "enc.final")
 
@@ -235,25 +234,25 @@ class EncoderDecoder:
             [np.full((N, 1), BOS_ID, dtype=np.int64), ys[:, :-1]], axis=1)
         T = dec_in.shape[1]
         causal = np.where(np.tril(np.ones((T, T), dtype=bool)), 0.0, MASK_VALUE)
-        self_bias = attn.tile_bias(self.dec_bias.bias_block(T), N)
-        cross_mask = np.where(key_valid, 0.0, MASK_VALUE)[None, None, :]
+        self_bias = self.dec_bias.bias_block(T)
+        cross_mask = np.where(key_valid, 0.0, MASK_VALUE)
         d = self.config.d_model
 
         x = tz.embed(self.params["embed"], dec_in)
         for i in range(self.config.dec_layers):
             h = self._ln(x, f"dec.{i}.ln1")
             z = attn.full_attention(*self._project(h, f"dec.{i}.self"),
-                                    causal[None, :, :], self_bias)
-            x = tz.add(x, self._out(z, f"dec.{i}.self", (N,)))
+                                    causal, self_bias)
+            x = tz.add(x, self._out(z, f"dec.{i}.self"))
             h = tz.reshape(self._ln(x, f"dec.{i}.ln2"), (E, N // E * T, d))
             z = attn.full_attention(
                 *self._project(h, f"dec.{i}.cross", kv_from=states),
                 cross_mask)
-            z = tz.reshape(self._out(z, f"dec.{i}.cross", (E,)), (N, T, d))
+            z = tz.reshape(self._out(z, f"dec.{i}.cross"), (N, T, d))
             x = tz.add(x, z)
             x = tz.add(x, self._ffn(self._ln(x, f"dec.{i}.ln3"), f"dec.{i}.ffn"))
         h = self._ln(x, "dec.final")
-        logits = tz.contract("btd,vd->btv", h, self.params["out"])
+        logits = tz.linear(h, tz.transpose(self.params["out"], (1, 0)))
         picked = tz.gather_last(tz.log_softmax_last(logits), ys)
         return tz.sum_last(picked)
 

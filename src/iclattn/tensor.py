@@ -1,14 +1,15 @@
 """Minimal dense-tensor kernel with reverse-mode autodiff.
 
-Everything is row-major, in float32 or float64: a tensor keeps float32
-data as float32 and turns anything else into float64, and every
-primitive computes its output and its gradients in its inputs' dtype
-(float64 where they mix). Float32 inputs, such as the optimizer's working
+Everything is in float32 or float64: a tensor keeps float32 data as
+float32 and turns anything else into float64, and every primitive
+computes its output and its gradients in its inputs' dtype (float64
+where they mix). Float32 inputs, such as the optimizer's working
 weights, therefore give a float32 tape; float64 inputs (fresh models, the
 oracles and the gradient checks) a float64 one. There is no broadcasting
-beyond what `add`/`mul` need for bias terms. The graph is recorded
-implicitly: each result tensor keeps its parents and a backward closure,
-and `backward()` replays them in reverse topological order.
+beyond what `add`/`mul` and the attention nodes need for bias terms. The
+graph is recorded implicitly: each result tensor keeps its parents and a
+backward closure, and `backward()` replays them in reverse topological
+order.
 
 Tensors are immutable after construction (the optimizer rebinds each
 parameter's `.data` to a view of its float32 working buffer once, then
@@ -16,13 +17,15 @@ writes it in place as the single writer during training). One backward
 graph per thread; graphs are never shared.
 
 Gradient ownership: a gradient array may be shared between tensors (`add`
-hands one array to both operands; `reshape`, `transpose`, `concat` and the
-head split and merge can hand out views), so no gradient array is ever
-written in place. A second contribution is summed into a fresh array, and
-callers that rescale `.grad` rebind it. Constants (neither requiring grad
-nor produced by a tracked op) receive no gradient. A non-leaf node's
-gradient is released as soon as its backward closure has run; only leaves
-keep theirs.
+hands one array to both operands; `reshape`, `transpose`, `concat` and
+`merge_heads` can hand out views of the gradient they receive), so no
+gradient array is ever written in place. A second contribution is summed
+into a fresh array, and callers that rescale `.grad` rebind it. Data is
+shared the same way: `reshape` and `split_heads` return views of their
+input's data, which is why no op writes its inputs. Constants (neither
+requiring grad nor produced by a tracked op) receive no gradient. A
+non-leaf node's gradient is released as soon as its backward closure has
+run; only leaves keep theirs.
 """
 
 from __future__ import annotations
@@ -184,49 +187,6 @@ def scale(a, c):
     return _result(data, (a,), back)
 
 
-# Contraction plans keyed by (labels, shapes): most contractions lower
-# to a batched matmul, which beats naive einsum loops by a wide margin.
-_PLAN_CACHE = {}
-
-
-def _build_plan(la, lb, out, ashape, bshape):
-    sa, sb, so = set(la), set(lb), set(out)
-    if (sa - sb) - so or (sb - sa) - so:
-        return "einsum"  # axis summed out of a single operand: rare, fall back
-    batch = [l for l in out if l in sa and l in sb]
-    afree = [l for l in la if l not in sb]
-    bfree = [l for l in lb if l not in sa]
-    contracted = [l for l in la if l in sb and l not in so]
-    dims = {**{l: d for l, d in zip(la, ashape)},
-            **{l: d for l, d in zip(lb, bshape)}}
-    perm_a = [la.index(l) for l in batch + afree + contracted]
-    perm_b = [lb.index(l) for l in batch + contracted + bfree]
-    P = int(np.prod([dims[l] for l in batch], dtype=np.int64))
-    M = int(np.prod([dims[l] for l in afree], dtype=np.int64))
-    K = int(np.prod([dims[l] for l in contracted], dtype=np.int64))
-    N = int(np.prod([dims[l] for l in bfree], dtype=np.int64))
-    result_labels = batch + afree + bfree
-    out_shape = tuple(dims[l] for l in result_labels)
-    perm_out = [result_labels.index(l) for l in out]
-    return (tuple(perm_a), tuple(perm_b), (P, M, K), (P, K, N), out_shape,
-            tuple(perm_out))
-
-
-def _fast_einsum(la, lb, out, a, b):
-    key = (la, lb, out, a.shape, b.shape)
-    plan = _PLAN_CACHE.get(key)
-    if plan is None:
-        plan = _build_plan(la, lb, out, a.shape, b.shape)
-        _PLAN_CACHE[key] = plan
-    if plan == "einsum":
-        return np.einsum(f"{la},{lb}->{out}", a, b)
-    perm_a, perm_b, sha, shb, out_shape, perm_out = plan
-    lhs = np.transpose(a, perm_a).reshape(sha)
-    rhs = np.transpose(b, perm_b).reshape(shb)
-    res = (lhs @ rhs).reshape(out_shape)
-    return np.transpose(res, perm_out) if perm_out != tuple(range(len(perm_out))) else res
-
-
 def _parse_spec(spec):
     if "->" not in spec:
         raise SpecError(f"spec {spec!r} lacks '->'")
@@ -256,30 +216,24 @@ def _check_extents(spec, la, lb, a, b):
                     f"axis {axis!r} has extents {extents[axis]} and {ext} in spec {spec!r}")
 
 
-def _einsum_partial(g, g_labels, other, other_labels, target_labels, target_shape):
-    """Gradient wrt one contraction operand: contract the output gradient
-    with the other operand down to the target's labels, broadcasting any
-    axis that appears in neither.
-    """
-    known = set(g_labels) | set(other_labels)
-    present = "".join(l for l in target_labels if l in known)
-    partial = _fast_einsum(g_labels, other_labels, present, g, other)
-    if present == target_labels:
-        return partial
-    expand = [slice(None) if l in present else None for l in target_labels]
-    # reorder `present` axes to their order within target_labels
-    order = sorted(range(len(present)), key=lambda i: target_labels.index(present[i]))
-    partial = np.transpose(partial, order)
-    return np.broadcast_to(partial[tuple(expand)], target_shape).copy()
+def _contract_grad(g, out, other, lo, target, shape):
+    """Gradient wrt one contraction operand: one `np.einsum` down to the
+    target's labels that the output or the other operand names, broadcast
+    over any axis the target alone sums out (as in "ij,jk->k")."""
+    kept = "".join(l for l in target if l in out or l in lo)
+    part = np.einsum(f"{out},{lo}->{kept}", g, other)
+    if kept == target:
+        return part
+    return np.broadcast_to(part.reshape(
+        [n if l in kept else 1 for l, n in zip(target, shape)]), shape).copy()
 
 
 def contract(spec, a, b):
-    """Einstein-notation contraction of two tensors, e.g.
-    contract("bhtd,bhrd->bhtr", q, k).
-    """
+    """Einstein-notation contraction of two tensors through `np.einsum`,
+    e.g. contract("bhtd,bhrd->bhtr", q, k)."""
     la, lb, out = _parse_spec(spec)
     _check_extents(spec, la, lb, a.data, b.data)
-    data = _fast_einsum(la, lb, out, a.data, b.data)
+    data = np.einsum(spec, a.data, b.data)
     if data.ndim == 0:
         data = data.reshape(1)
 
@@ -287,9 +241,9 @@ def contract(spec, a, b):
         if not out:
             g = g.reshape(())
         if _tracked(a):
-            _accumulate(a, _einsum_partial(g, out, b.data, lb, la, a.data.shape))
+            _accumulate(a, _contract_grad(g, out, b.data, lb, la, a.data.shape))
         if _tracked(b):
-            _accumulate(b, _einsum_partial(g, out, a.data, la, lb, b.data.shape))
+            _accumulate(b, _contract_grad(g, out, a.data, la, lb, b.data.shape))
     return _result(data, (a, b), back)
 
 
@@ -318,34 +272,23 @@ def linear(x, w, b=None):
 
 
 def split_heads(x, H):
-    """(..., T, H*dh) -> (N*H, T, dh) as one node, where N is the product
-    of the leading axes (1 for a 2-D input). The result is contiguous, as
-    the attention nodes expect."""
+    """(..., T, H*dh) -> (..., H, T, dh) as one node whose data is a
+    strided view of the input's, not a copy."""
     *lead, T, D = x.data.shape
-    n, dh = int(np.prod(lead, dtype=np.int64)), D // H
-    data = np.ascontiguousarray(
-        x.data.reshape(n, T, H, dh).transpose(0, 2, 1, 3)).reshape(n * H, T, dh)
+    data = x.data.reshape(*lead, T, H, D // H).swapaxes(-2, -3)
 
     def back(g):
-        _accumulate(x, g.reshape(n, H, T, dh).transpose(0, 2, 1, 3)
-                    .reshape(x.data.shape))
+        _accumulate(x, g.swapaxes(-2, -3).reshape(x.data.shape))
     return _result(data, (x,), back)
 
 
-def merge_heads(z, lead):
-    """Inverse of `split_heads`: (N*H, T, dh) -> lead + (T, H*dh), where
-    `lead` is the leading shape of the split input ((B,), or () for a
-    single 2-D sequence)."""
-    NH, T, dh = z.data.shape
-    n = int(np.prod(lead, dtype=np.int64))
-    H = NH // n
-    data = np.ascontiguousarray(
-        z.data.reshape(n, H, T, dh).transpose(0, 2, 1, 3)).reshape(
-            tuple(lead) + (T, H * dh))
+def merge_heads(z):
+    """Inverse of `split_heads`: (..., H, T, dh) -> (..., T, H*dh)."""
+    *lead, H, T, dh = z.data.shape
+    data = z.data.swapaxes(-2, -3).reshape(*lead, T, H * dh)
 
     def back(g):
-        _accumulate(z, np.ascontiguousarray(
-            g.reshape(n, T, H, dh).transpose(0, 2, 1, 3)).reshape(NH, T, dh))
+        _accumulate(z, g.reshape(*lead, T, H, dh).swapaxes(-2, -3))
     return _result(data, (z,), back)
 
 
@@ -486,7 +429,6 @@ def layer_norm(x, gain, bias, eps=1e-5):
         _accumulate(gain, (g * xhat).sum(axis=red))
         _accumulate(bias, g.sum(axis=red))
         dxhat = g * gain.data
-        n = x.data.shape[-1]
         dx = (dxhat - dxhat.mean(axis=-1, keepdims=True)
               - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv
         _accumulate(x, dx)

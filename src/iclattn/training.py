@@ -52,6 +52,10 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.fmt not in FORMATS:
             raise ValueError(f"unknown prompt format {self.fmt!r}")
+        if self.lr <= 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if self.grad_clip < 0:
+            raise ValueError(f"grad_clip must be >= 0, got {self.grad_clip}")
 
 
 def lr_schedule(step, cfg):

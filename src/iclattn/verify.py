@@ -9,7 +9,7 @@ import numpy as np
 
 from . import tensor as tz
 from .attention import (dense_structured_reference, full_attention,
-                        score_storage, structured_attention, tile_bias)
+                        score_storage, structured_attention)
 from .segments import (RelativeBiasTable, SegmentLayout, bias_for_layout,
                        build_full_mask, build_structured_mask,
                        permute_segments)
@@ -130,8 +130,9 @@ def mask_counts(max_k=6, max_l=5):
 
 
 # Layouts the fused attention nodes are checked on, as (name, layout,
-# prompts): several prompts sharing one bias (tiled as the model's batched
-# path does), ragged valid counts, and no demonstrations at all.
+# prompts): several prompts sharing one per-head bias (broadcast over the
+# prompt axis, as in the model), ragged valid counts, and no
+# demonstrations at all.
 FUSED_CASES = (
     ("batched", SegmentLayout(2, 2, (2, 2, 2)), 3),
     ("ragged", SegmentLayout(3, 3, (3, 1, 2, 2)), 1),
@@ -163,22 +164,22 @@ def _value_and_grads(fn, tensors):
 def _fused_setup(layout, prompts, seed):
     """Float64 q, k, v and bias table for one FUSED_CASES layout, the
     tensors they differentiate, both fused nodes over them and the
-    composite oracle. The structured node gets its shared bias block, the
-    full node the structured mask and bias placement, each tiled over
-    `prompts`."""
+    composite oracle, in the model's (prompts, heads, T, d) layout. The
+    structured node gets its shared bias block, the full node the
+    structured mask and bias placement, each broadcast over the prompts."""
     rng = np.random.default_rng(seed)
-    shape = (prompts * FUSED_HEADS, layout.total_length, FUSED_HEAD_DIM)
+    shape = (prompts, FUSED_HEADS, layout.total_length, FUSED_HEAD_DIM)
     q, k, v = (Tensor(rng.standard_normal(shape), requires_grad=True)
                for _ in range(3))
     table = RelativeBiasTable(FUSED_HEADS, num_buckets=8, max_distance=16,
                               rng=rng, init_std=0.5)
     nodes = [
         lambda: structured_attention(
-            q, k, v, layout, bias_block=tile_bias(
-                table.bias_block(layout.segment_length), prompts)),
+            q, k, v, layout,
+            bias_block=table.bias_block(layout.segment_length)),
         lambda: full_attention(
-            q, k, v, build_structured_mask(layout), tile_bias(
-                bias_for_layout(table, layout), prompts)),
+            q, k, v, build_structured_mask(layout),
+            bias_for_layout(table, layout)),
     ]
 
     def oracle():

@@ -5,8 +5,10 @@ from iclattn import verify
 from iclattn.attention import (dense_structured_reference, full_attention,
                                score_storage, structured_attention)
 from iclattn.segments import (RelativeBiasTable, SegmentLayout,
-                              build_full_mask, permute_segments)
-from iclattn.tensor import MASK_VALUE, Tensor, backward, tsum
+                              bias_for_layout, build_full_mask,
+                              build_structured_mask, permute_segments)
+from iclattn.tensor import (MASK_VALUE, Tensor, backward, mul, split_heads,
+                            tsum)
 
 
 def full_layout(k, L):
@@ -162,6 +164,43 @@ class TestFusedNodes:
         fd, gap = verify.check_fused_case(layout, prompts, seed=13)
         assert gap <= 1e-9
         assert fd <= 1e-4
+
+    @pytest.mark.parametrize("name,layout,prompts", verify.FUSED_CASES,
+                             ids=[case[0] for case in verify.FUSED_CASES])
+    def test_strided_head_views_match_contiguous_copies(self, name, layout,
+                                                        prompts):
+        """The model hands both nodes the (B, H, T, dh) strided views of
+        `split_heads`; they must give bit for bit what the same call on
+        contiguous copies gives, output and every gradient."""
+        rng = np.random.default_rng(16)
+        H, dh = verify.FUSED_HEADS, verify.FUSED_HEAD_DIM
+        rows = [rng.standard_normal((prompts, layout.total_length, H * dh))
+                for _ in range(3)]
+        table = RelativeBiasTable(H, num_buckets=8, max_distance=16,
+                                  rng=rng, init_std=0.5)
+        nodes = [
+            lambda q, k, v: structured_attention(
+                q, k, v, layout,
+                bias_block=table.bias_block(layout.segment_length)),
+            lambda q, k, v: full_attention(
+                q, k, v, build_structured_mask(layout),
+                bias_for_layout(table, layout)),
+        ]
+
+        def run(node, contiguous):
+            views = [split_heads(Tensor(r), H).data for r in rows]
+            assert not any(a.flags.c_contiguous for a in views)
+            if contiguous:
+                views = [np.ascontiguousarray(a) for a in views]
+            qkv = [Tensor(a, requires_grad=True) for a in views]
+            table.weights.grad = None
+            out = node(*qkv)
+            backward(tsum(mul(out, out)))
+            return [out.data] + [t.grad for t in qkv] + [table.weights.grad]
+
+        for node in nodes:
+            for got, want in zip(run(node, False), run(node, True)):
+                np.testing.assert_array_equal(got, want)
 
     def test_float32_nodes_match_float64_oracle(self):
         """Every FUSED_CASES layout with float32 inputs: float32 outputs

@@ -149,6 +149,45 @@ class TestCommands:
                          "--seeds", "1"]) == 2
         assert "iclattn eval: error: --test-k" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--episodes", "--seeds", "--l-max"])
+    def test_eval_count_usage_error(self, flag, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "EncoderDecoder", None)
+        assert cli.main(["eval", "--test-k", "2", "--episodes", "1",
+                         "--seeds", "1", flag, "0"]) == 2
+        assert f"iclattn eval: error: {flag} must be >= 1" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, text", [
+        (["--lengths", "0"], None),
+        (["--k-grid=-1,2"], None),
+        ([], "heads = 0\n"),
+        ([], "head_dim = 0\n"),
+    ], ids=["zero_length", "negative_k", "zero_heads", "zero_head_dim"])
+    def test_bench_spec_usage_error(self, flags, text, tmp_path, capsys,
+                                    monkeypatch):
+        monkeypatch.setattr(cli.bench_mod, "run_bench", None)
+        if text is not None:
+            path = tmp_path / "f.cfg"
+            path.write_text(text)
+            flags = flags + ["--config", str(path)]
+        assert cli.main(["bench", "--repetitions", "3"] + flags) == 2
+        assert "iclattn bench: error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, text", [
+        (["--lr", "-1"], None),
+        (["--lr", "0"], None),
+        ([], "grad_clip = -1\n"),
+    ], ids=["negative_lr", "zero_lr", "negative_grad_clip"])
+    def test_train_config_usage_error(self, flags, text, tmp_path, capsys,
+                                      monkeypatch):
+        monkeypatch.setattr(cli, "EncoderDecoder", None)
+        if text is not None:
+            path = tmp_path / "f.cfg"
+            path.write_text(text)
+            flags = flags + ["--config", str(path)]
+        assert cli.main(["train", "--steps", "2"] + flags) == 2
+        assert "iclattn train: error: " in capsys.readouterr().err
+
     def test_eval_fusion_schemes(self, capsys):
         for scheme, groups in (("fid", "1"), ("group-fid", "2"),
                                ("ensemble", "2")):

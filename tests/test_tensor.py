@@ -71,6 +71,18 @@ class TestContract:
         with pytest.raises(tz.SpecError):
             tz.contract("iij,jk->ik", Tensor(np.ones((2, 2, 2))), Tensor(np.ones((2, 2))))
 
+    def test_axis_summed_out_of_one_operand_gradients(self):
+        # `i` is summed out of `a` alone, so its gradient broadcasts over `i`
+        rng = np.random.default_rng(4)
+        a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+        w = rng.standard_normal(2)
+        tz.backward(tz.tsum(tz.mul(tz.contract("ij,jk->k", a, b), tz.constant(w))))
+        np.testing.assert_allclose(
+            a.grad, np.broadcast_to(b.data @ w, (3, 4)), atol=1e-12)
+        np.testing.assert_allclose(
+            b.grad, np.outer(a.data.sum(axis=0), w), atol=1e-12)
+
 
 class TestSoftmax:
     def test_uniform(self):
@@ -155,8 +167,9 @@ def test_every_primitive_passes_finite_differences(seed):
     u = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
     w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
     c = Tensor(rng.standard_normal(5), requires_grad=True)
-    heads = Tensor(rng.standard_normal((4, 3, 2)), requires_grad=True)
-    split_weight = tz.constant(rng.standard_normal((4, 3, 2)))
+    heads = Tensor(rng.standard_normal((4, 3, 2)).reshape(2, 2, 3, 2),
+                   requires_grad=True)
+    split_weight = tz.constant(rng.standard_normal((4, 3, 2)).reshape(2, 2, 3, 2))
     merge_weight = tz.constant(rng.standard_normal((2, 3, 4)))
 
     cases = {
@@ -178,7 +191,7 @@ def test_every_primitive_passes_finite_differences(seed):
                                               tz.linear(u, w, c))),
         "split_heads": lambda: tz.tsum(tz.mul(tz.split_heads(u, 2),
                                               split_weight)),
-        "merge_heads": lambda: tz.tsum(tz.mul(tz.merge_heads(heads, (2,)),
+        "merge_heads": lambda: tz.tsum(tz.mul(tz.merge_heads(heads),
                                               merge_weight)),
     }
     extra = {"linear": [u, w], "linear_bias": [u, w, c], "split_heads": [u],
@@ -223,11 +236,18 @@ def test_split_and_merge_heads_are_inverse_layouts():
     x = np.arange(2 * 3 * 4.0).reshape(2, 3, 4)
     split = tz.split_heads(Tensor(x), 2)
     np.testing.assert_array_equal(
-        split.data, x.reshape(2, 3, 2, 2).transpose(0, 2, 1, 3).reshape(4, 3, 2))
-    np.testing.assert_array_equal(tz.merge_heads(split, (2,)).data, x)
+        split.data, x.reshape(2, 3, 2, 2).transpose(0, 2, 1, 3))
+    np.testing.assert_array_equal(tz.merge_heads(split).data, x)
     single = tz.split_heads(Tensor(x[0]), 2)
-    np.testing.assert_array_equal(single.data, split.data[:2])
-    np.testing.assert_array_equal(tz.merge_heads(single, ()).data, x[0])
+    np.testing.assert_array_equal(single.data, split.data[0])
+    np.testing.assert_array_equal(tz.merge_heads(single).data, x[0])
+
+
+def test_split_heads_is_a_view():
+    x = Tensor(np.arange(2 * 3 * 4.0).reshape(2, 3, 4))
+    split = tz.split_heads(x, 2)
+    assert np.shares_memory(split.data, x.data)
+    assert not split.data.flags.c_contiguous
 
 
 def test_rank0_scalar_becomes_shape_1():
