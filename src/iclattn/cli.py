@@ -123,8 +123,10 @@ def build_parser():
 
     p = sub.add_parser("eval", help="evaluate a model with a fusion scheme")
     p.add_argument("--family", default="lookup", choices=sorted(tasks.FAMILIES))
-    p.add_argument("--checkpoint", help="trained model (.npz); fresh weights if omitted")
-    p.add_argument("--variant", default="structured", choices=VARIANTS)
+    model = p.add_mutually_exclusive_group()
+    model.add_argument("--checkpoint",
+                       help="trained model (.npz); fresh weights if omitted")
+    model.add_argument("--variant", default="structured", choices=VARIANTS)
     p.add_argument("--scheme", default="single",
                    choices=tuple(s.replace("_", "-") for s in SCHEMES))
     p.add_argument("--groups", type=int, default=1,
@@ -159,6 +161,10 @@ def cmd_train(args):
         cfg = _build_config(training.TrainConfig, args)
     except (OSError, ValueError) as err:
         return _usage_error("train", err)
+    for flag, path in (("--log-csv", args.log_csv),
+                       ("--checkpoint", args.checkpoint)):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            return _usage_error("train", f"{flag} {path}: no such directory")
     family = tasks.make_family(args.family)
     model = EncoderDecoder(ModelConfig(variant=args.variant), seed=cfg.seed)
     history = training.train(model, family, cfg, log_path=args.log_csv,
@@ -192,10 +198,11 @@ def cmd_eval(args):
         return _usage_error("eval", error)
     family = tasks.make_family(args.family)
     seed0 = _seed_override(args.seed)
-    if args.checkpoint:
-        model = EncoderDecoder.load(args.checkpoint)
-    else:
-        model = EncoderDecoder(ModelConfig(variant=args.variant), seed=seed0)
+    try:
+        model = (EncoderDecoder.load(args.checkpoint) if args.checkpoint else
+                 EncoderDecoder(ModelConfig(variant=args.variant), seed=seed0))
+    except (OSError, ValueError) as err:
+        return _usage_error("eval", err)
     plan = FusionPlan(scheme, args.groups)
     result = training.evaluate(model, family, args.test_k,
                                episodes=args.episodes,

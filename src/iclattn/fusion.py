@@ -14,12 +14,13 @@ logits averaged).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import EncoderOutput, PAD_ID
 from .segments import SegmentLayout
+from .tasks import TaskExample
 from .tensor import concat
 
 FORMATS = ("direct", "channel")
@@ -72,15 +73,6 @@ class PromptPack:
         for i, seg in enumerate(segs):
             out[i * L:i * L + len(seg)] = seg
         return out
-
-    def with_test_segment(self, tokens):
-        """Channel scoring: swap a candidate into the test slot."""
-        return replace(self, test_segment=tuple(tokens))
-
-    def permuted(self, perm):
-        segs = tuple(self.demo_segments[p] for p in perm)
-        prov = tuple(self.provenance[p] for p in perm)
-        return replace(self, demo_segments=segs, provenance=prov)
 
 
 @dataclass(frozen=True)
@@ -152,7 +144,7 @@ def group_fid_encode(model, demos, test, groups, l_max, fmt="direct"):
     outs = []
     for part in parts:
         pack = pack_prompt([demos[i] for i in part], test,
-                           k=max(len(part), 1), l_max=l_max, fmt=fmt)
+                           k=len(part), l_max=l_max, fmt=fmt)
         outs.append(model.encode(pack))
     states = concat([o.states for o in outs], axis=0)
     key_valid = np.concatenate([o.key_valid for o in outs])
@@ -166,30 +158,33 @@ def fid_encode(model, demos, test, l_max, fmt="direct"):
 
 
 def fused_logprobs(model, demos, test, candidates, plan, l_max, fmt="direct"):
-    """Per-candidate log-probability scores under a fusion plan."""
-    if plan.scheme == "single":
-        pack = pack_prompt(demos, test, k=max(len(demos), 1), l_max=l_max, fmt=fmt)
-        return model.candidate_logprobs(pack, candidates)
-
+    """Per-candidate log-probability scores under a fusion plan. Single,
+    FiD and Group-FiD encode the demonstrations in 1, len(demos) and G
+    groups; ensemble averages the one-group scores of its G groups."""
+    if len(demos) == 0:
+        raise PackingError("need at least one demonstration")
+    if len(candidates) == 0:
+        raise ValueError("need at least one candidate")
     if plan.scheme == "ensemble":
-        parts = split_groups(len(demos), plan.groups)
-        per_group = [
-            model.candidate_logprobs(
-                pack_prompt([demos[i] for i in part], test, k=len(part),
-                            l_max=l_max, fmt=fmt), candidates)
-            for part in parts
-        ]
+        per_group = [_group_logprobs(model, [demos[i] for i in part], test,
+                                     candidates, 1, l_max, fmt)
+                     for part in split_groups(len(demos), plan.groups)]
         # mean of log-probabilities, fixed summation order
         return np.mean(np.stack(per_group, axis=0), axis=0)
-
     groups = len(demos) if plan.scheme == "fid" else plan.groups
+    return _group_logprobs(model, demos, test, candidates, groups, l_max, fmt)
+
+
+def _group_logprobs(model, demos, test, candidates, groups, l_max, fmt):
+    """Scores with the demonstrations encoded in `groups` groups. Channel
+    puts each candidate in y_test's place and scores x_test."""
     if fmt == "direct":
         enc = group_fid_encode(model, demos, test, groups, l_max, fmt)
         return np.array([model.sequence_logprob(enc, list(c)).item()
                          for c in candidates])
     scores = []
     for c in candidates:
-        cand_test = replace(test, y=list(c))
+        cand_test = TaskExample(list(test.x), list(c))
         enc = group_fid_encode(model, demos, cand_test, groups, l_max, fmt)
         scores.append(model.sequence_logprob(enc, list(test.x)).item())
     return np.array(scores)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 import zlib
 from dataclasses import asdict, dataclass
 
@@ -288,29 +289,6 @@ class EncoderDecoder:
         return self._decoder(states, key_valid,
                              np.asarray(continuations, dtype=np.int64))
 
-    def candidate_logprobs(self, pack, candidates):
-        """Log-probability score per candidate under the pack's format.
-
-        Direct: encode once, score each candidate as the continuation.
-        Channel: the candidate becomes the final encoder segment and the
-        stored test input is scored as the continuation.
-        """
-        if pack.format == "direct":
-            enc = self.encode(pack)
-            return np.array([self.sequence_logprob(enc, c).item()
-                             for c in candidates])
-        scores = []
-        for c in candidates:
-            enc = self.encode(pack.with_test_segment(list(c)))
-            scores.append(self.sequence_logprob(enc, pack.score_tokens).item())
-        return np.array(scores)
-
-    def predict(self, pack, candidates):
-        """Index of the argmax candidate; ties go to the lowest index."""
-        if len(candidates) == 0:
-            raise ValueError("need at least one candidate")
-        return int(np.argmax(self.candidate_logprobs(pack, candidates)))
-
     # -- checkpointing -------------------------------------------------
     def save(self, path):
         """Versioned container: JSON config header + one named blob per
@@ -339,40 +317,44 @@ class EncoderDecoder:
     @classmethod
     def load(cls, path):
         """Rebuild a model from a `save` file. Raises CheckpointError when
-        the header is missing or of another version, or when an array is
-        missing, unexpected, of the wrong shape for the config, or not
-        finite. Reads `_checkpoint_path(path)`, the file `save` wrote.
-        Float32 arrays stay float32, anything else becomes float64."""
+        the file is no npz archive, the header is missing or of another
+        version, or an array is missing, unexpected, of the wrong shape for
+        the config, or not finite. Reads `_checkpoint_path(path)`, the file
+        `save` wrote. Float32 arrays stay float32, others become float64."""
         path = _checkpoint_path(path)
-        with np.load(path) as blob:
-            if "__header__" not in blob.files:
-                raise CheckpointError(f"{path}: no checkpoint header")
-            header = json.loads(bytes(blob["__header__"].tobytes()).decode())
-            if header.get("version") != CHECKPOINT_VERSION:
+        try:
+            with np.load(path) as blob:
+                arrays = {name: blob[name] for name in blob.files}
+        except (ValueError, EOFError, zipfile.BadZipFile) as err:
+            raise CheckpointError(
+                f"{path}: not a checkpoint archive: {err}") from err
+        if "__header__" not in arrays:
+            raise CheckpointError(f"{path}: no checkpoint header")
+        header = json.loads(bytes(arrays.pop("__header__").tobytes()).decode())
+        if header.get("version") != CHECKPOINT_VERSION:
+            raise CheckpointError(
+                f"unsupported checkpoint version: {header.get('version')}")
+        config = dict(header["config"])
+        # older checkpoints record a `dropout` field that was never active
+        config.pop("dropout", None)
+        model = cls(ModelConfig(**config))
+        missing = sorted(model.params.keys() - arrays.keys())
+        if missing:
+            raise CheckpointError(f"{path}: missing arrays {missing}")
+        extra = sorted(arrays.keys() - model.params.keys())
+        if extra:
+            raise CheckpointError(f"{path}: unexpected arrays {extra}")
+        for name, t in model.params.items():
+            arr = arrays[name]
+            if arr.shape != t.data.shape:
                 raise CheckpointError(
-                    f"unsupported checkpoint version: {header.get('version')}")
-            config = dict(header["config"])
-            # older checkpoints record a `dropout` field that was never active
-            config.pop("dropout", None)
-            model = cls(ModelConfig(**config))
-            stored = set(blob.files) - {"__header__"}
-            missing = sorted(model.params.keys() - stored)
-            if missing:
-                raise CheckpointError(f"{path}: missing arrays {missing}")
-            extra = sorted(stored - model.params.keys())
-            if extra:
-                raise CheckpointError(f"{path}: unexpected arrays {extra}")
-            for name, t in model.params.items():
-                arr = blob[name]
-                if arr.shape != t.data.shape:
-                    raise CheckpointError(
-                        f"{path}: array {name!r} has shape {arr.shape}, "
-                        f"the config needs {t.data.shape}")
-                arr = tz.as_data(arr)
-                if not np.isfinite(arr).all():
-                    raise CheckpointError(
-                        f"{path}: array {name!r} holds non-finite values")
-                t.data = arr
+                    f"{path}: array {name!r} has shape {arr.shape}, "
+                    f"the config needs {t.data.shape}")
+            arr = tz.as_data(arr)
+            if not np.isfinite(arr).all():
+                raise CheckpointError(
+                    f"{path}: array {name!r} holds non-finite values")
+            t.data = arr
         return model
 
     def weight_fingerprint(self):

@@ -31,8 +31,9 @@ class TrainConfig:
     steps: int = 3000
     # At batch 8 the dense-attention baseline's escape from the
     # label-frequency plateau within 3000 steps hinged on float rounding
-    # (k=8 accuracy 0.77-1.00 over seeds 0-4). At batch 16 both variants
-    # reach k=8 accuracy >= 0.98 at each of seeds 0-4. Raising lr to 3e-3
+    # (k=8 accuracy 0.77-1.00 over seeds 0-4). At batch 16 the structured
+    # variant reads 1.000 at seeds 0-4, the dense one 1.000 at all but
+    # seed 1 (0.914): its margin still rests on rounding. Raising lr to 3e-3
     # or 4e-3 at batch 8 made the dense model worse, not better.
     batch_size: int = 16
     lr: float = 2e-3
@@ -70,10 +71,10 @@ def lr_schedule(step, cfg):
 
 
 # Elements per Adam update chunk. Gradients are gathered, and the update
-# runs, one chunk at a time through three scratch arrays of this size: a
-# whole-buffer gradient copy raised the desk-scale benchmark's peak RSS
-# by 2.9 MB (4.5%), as each of its set-ups holds a model and optimizer.
-# 16384 was the fastest of 4096-32768 for the default model.
+# runs, one chunk (or one larger parameter) at a time through three scratch
+# arrays: a whole-buffer gradient copy raised the desk-scale benchmark's
+# peak RSS by 2.9 MB (4.5%), as each of its set-ups holds a model and
+# optimizer. 16384 was the fastest of 4096-32768 for the default model.
 _ADAM_CHUNK = 16384
 
 
@@ -109,7 +110,8 @@ class Adam:
         self._work[...] = self.flat
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
-        chunk = min(_ADAM_CHUNK, self.flat.size)
+        chunk = max([min(_ADAM_CHUNK, self.flat.size)]
+                    + [p.data.size for p in params.values()])
         self._scratch = tuple(np.empty(chunk) for _ in range(3))
 
     def step(self, lr):
@@ -123,13 +125,6 @@ class Adam:
                 self._update(a, n, lr, *corr)
                 n = 0
             if p.grad is None:
-                continue
-            if size > _ADAM_CHUNK:      # a large parameter goes alone, in pieces
-                flat_grad = p.grad.reshape(-1)
-                for i in range(0, size, _ADAM_CHUNK):
-                    j = min(i + _ADAM_CHUNK, size)
-                    g[:j - i] = flat_grad[i:j]
-                    self._update(start + i, j - i, lr, *corr)
                 continue
             if not n:
                 a = start

@@ -14,7 +14,7 @@ import pytest
 from iclattn.attention import score_storage
 from iclattn.bench import BenchSpec, loglog_slope, run_bench
 from iclattn.fusion import (FusionPlan, fid_encode, fused_logprobs,
-                            group_fid_encode, pack_prompt)
+                            fused_predict, group_fid_encode)
 from iclattn.model import EncoderDecoder, ModelConfig
 from iclattn.tasks import TaskExample, make_family
 from iclattn.training import TrainConfig, batch_loss, evaluate, sample_batch, train
@@ -58,17 +58,18 @@ def test_criterion_2_permutation_invariance(capsys):
     ok, worst = verify.permutation_invariance(instances=50)
 
     # end-to-end: permuting a prompt's demonstrations must not move the
-    # argmax prediction
+    # argmax prediction (at k=5 every lookup demonstration is admitted)
     family = make_family("lookup")
     model = EncoderDecoder(ModelConfig(variant="structured"), seed=3)
     rng = np.random.default_rng(4)
     same = True
     for i in range(50):
         ep = family.sample_episode(5, 1000 + i)
-        pack = pack_prompt(ep.demos, ep.test, k=5, l_max=8)
-        perm = tuple(rng.permutation(pack.num_demos))
-        a = model.predict(pack, ep.test.options)
-        b = model.predict(pack.permuted(perm), ep.test.options)
+        perm = tuple(rng.permutation(len(ep.demos)))
+        a = fused_predict(model, ep.demos, ep.test, ep.test.options,
+                          FusionPlan(), l_max=8)
+        b = fused_predict(model, [ep.demos[p] for p in perm], ep.test,
+                          ep.test.options, FusionPlan(), l_max=8)
         same = same and a == b
     elapsed = time.monotonic() - t0
     report(capsys, "2 permutation invariance", ok and same and elapsed < 30,

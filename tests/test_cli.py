@@ -188,6 +188,37 @@ class TestCommands:
         assert cli.main(["train", "--steps", "2"] + flags) == 2
         assert "iclattn train: error: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--log-csv"])
+    def test_train_missing_output_directory(self, flag, tmp_path, capsys,
+                                            monkeypatch):
+        """A missing output directory is a usage error before any model is
+        built, not a failed save after training."""
+        monkeypatch.setattr(cli, "EncoderDecoder", None)
+        path = tmp_path / "missing" / "out"
+        assert cli.main(["train", "--steps", "1", flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"iclattn train: error: {flag} {path}: no such directory" in err
+
+    @pytest.mark.parametrize("text", [None, "not a checkpoint\n"],
+                             ids=["missing", "untrustworthy"])
+    def test_eval_bad_checkpoint_is_usage_error(self, text, tmp_path,
+                                                capsys):
+        path = tmp_path / "m.npz"
+        if text is not None:
+            path.write_text(text)
+        assert cli.main(["eval", "--checkpoint", str(path), "--test-k", "2",
+                         "--episodes", "1", "--seeds", "1"]) == 2
+        assert "iclattn eval: error: " in capsys.readouterr().err
+
+    def test_eval_checkpoint_excludes_variant(self, tmp_path, capsys):
+        """A checkpoint fixes the variant, so asking for one as well is a
+        usage error rather than a flag silently ignored."""
+        with pytest.raises(SystemExit) as err:
+            cli.main(["eval", "--checkpoint", str(tmp_path / "m"),
+                      "--variant", "full"])
+        assert err.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_eval_fusion_schemes(self, capsys):
         for scheme, groups in (("fid", "1"), ("group-fid", "2"),
                                ("ensemble", "2")):

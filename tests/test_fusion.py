@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from iclattn.fusion import (TOKENS_PER_DEMO_BUDGET, FusionPlan, PackingError,
                             PromptPack, fid_encode, fused_logprobs,
-                            group_fid_encode, pack_prompt, split_groups)
+                            fused_predict, group_fid_encode, pack_prompt,
+                            split_groups)
 from iclattn.model import EncoderDecoder, ModelConfig
 from iclattn.tasks import TaskExample
 
@@ -18,6 +19,12 @@ def make_demos(n, length, base=2):
     return [demo([base + i] * (length - 1), [base + i]) for i in range(n)]
 
 
+# one plan per scheme, each over two demonstrations
+PLANS = {"single": FusionPlan("single"), "fid": FusionPlan("fid"),
+         "group_fid": FusionPlan("group_fid", 2),
+         "ensemble": FusionPlan("ensemble", 2)}
+
+
 def small_model(variant="structured", seed=0):
     cfg = ModelConfig(vocab=48, d_model=16, heads=2, enc_layers=1,
                       dec_layers=1, ffn=32, variant=variant)
@@ -28,12 +35,6 @@ class TestPromptPack:
     def test_rejects_bad_format(self):
         with pytest.raises(ValueError):
             PromptPack(((2,),), (3,), (4,), "both", (0,))
-
-    def test_permuted_reorders_provenance(self):
-        pack = PromptPack(((2,), (3,), (4,)), (5,), (6,), "direct", (0, 1, 2))
-        p = pack.permuted((2, 0, 1))
-        assert p.demo_segments == ((4,), (2,), (3,))
-        assert p.provenance == (2, 0, 1)
 
 
 class TestPackPrompt:
@@ -198,3 +199,57 @@ class TestChannelFusion:
                                 FusionPlan("fid", 1), l_max=8, fmt="channel")
         assert scores.shape == (2,)
         assert np.isfinite(scores).all()
+
+
+class TestFusedScoring:
+    """Every scheme scores candidates through the one scorer, so each
+    gives the same answer to the same input."""
+
+    demos = [demo([2], [9]), demo([3], [10])]
+    test = TaskExample([4, 5], [9], [[9], [10]])
+
+    @pytest.mark.parametrize("scheme", sorted(PLANS))
+    def test_tie_break_lowest_index(self, scheme):
+        m = small_model()
+        m.params["out"].data[:] = 0.0
+        assert fused_predict(m, self.demos, self.test, [(5,), (6,), (7,)],
+                             PLANS[scheme], l_max=8) == 0
+
+    @pytest.mark.parametrize("scheme", sorted(PLANS))
+    def test_channel_scores_differ_from_direct(self, scheme):
+        """Direct and channel route through different encodes, so the
+        scores genuinely differ."""
+        m = small_model()
+        score = {fmt: fused_logprobs(m, self.demos, self.test, [(9,), (10,)],
+                                     PLANS[scheme], l_max=8, fmt=fmt)
+                 for fmt in ("direct", "channel")}
+        assert score["channel"].shape == (2,)
+        assert np.isfinite(score["channel"]).all()
+        assert not np.allclose(score["channel"], score["direct"])
+
+    @pytest.mark.parametrize("scheme", sorted(PLANS))
+    def test_no_demonstrations_rejected(self, scheme):
+        with pytest.raises(PackingError, match="demonstration"):
+            fused_logprobs(small_model(), [], self.test, [(9,)],
+                           PLANS[scheme], l_max=8)
+
+    @pytest.mark.parametrize("scheme", sorted(PLANS))
+    def test_no_candidates_rejected(self, scheme):
+        for score in (fused_logprobs, fused_predict):
+            with pytest.raises(ValueError, match="need at least one candidate"):
+                score(small_model(), self.demos, self.test, [],
+                      PLANS[scheme], l_max=8)
+
+    @pytest.mark.parametrize("scheme", sorted(PLANS))
+    def test_channel_candidate_outside_options_scored(self, scheme):
+        """A channel candidate need not be among the test's options: it
+        takes y_test's place in the prompt, and scores like a test whose
+        answer it is."""
+        m = small_model()
+        cands = [(9,), (11,)]
+        scores = fused_logprobs(m, self.demos, self.test, cands,
+                                PLANS[scheme], l_max=8, fmt="channel")
+        assert scores.shape == (2,) and np.isfinite(scores).all()
+        alone = fused_logprobs(m, self.demos, TaskExample([4, 5], [11]),
+                               [(11,)], PLANS[scheme], l_max=8, fmt="channel")
+        np.testing.assert_array_equal(scores[1:], alone)

@@ -78,10 +78,10 @@ class TestEncode:
         m = small_model()
         pack = make_pack([(2, 3, 4), (5, 6)], (7, 8, 9), (10,))
         assert pack.padded_tokens()[5] == PAD_ID
-        before = m.candidate_logprobs(pack, [(10,), (11,)])
+        before = m.batch_logprobs(*m.encode_batch([pack]), [(10,), (11,)])
         m.params["embed"].data[PAD_ID] += 100.0
-        after = m.candidate_logprobs(pack, [(10,), (11,)])
-        np.testing.assert_array_equal(before, after)
+        after = m.batch_logprobs(*m.encode_batch([pack]), [(10,), (11,)])
+        np.testing.assert_array_equal(before.data, after.data)
 
 
 # The four public entries, each fed one token `t` where it reads tokens:
@@ -143,30 +143,6 @@ class TestDecode:
         enc = m.encode(make_pack([(2,)], (3,), (4,)))
         lp = m.sequence_logprob(enc, (5, 6, 7)).item()
         assert lp == pytest.approx(-3 * math.log(32), abs=1e-9)
-
-
-class TestPredict:
-    def test_tie_break_lowest_index(self):
-        m = small_model()
-        m.params["out"].data[:] = 0.0
-        pack = make_pack([(2, 3)], (4,), (5,))
-        assert m.predict(pack, [(5,), (6,), (7,)]) == 0
-
-    def test_no_candidates_rejected(self):
-        m = small_model()
-        with pytest.raises(ValueError):
-            m.predict(make_pack([], (2,), (3,)), [])
-
-    def test_channel_scores_test_input(self):
-        m = small_model()
-        pack = make_pack([(9, 2), (10, 3)], (9,), (4, 5), fmt="channel")
-        scores = m.candidate_logprobs(pack, [(9,), (10,)])
-        assert scores.shape == (2,)
-        assert np.isfinite(scores).all()
-        # direct and channel route through different encodes, so the
-        # scores should genuinely differ
-        direct = make_pack([(2, 9), (3, 10)], (4, 5), (9,))
-        assert not np.allclose(scores, m.candidate_logprobs(direct, [(9,), (10,)]))
 
 
 class TestBatchedPath:
@@ -255,8 +231,9 @@ class TestCheckpoint:
         m2 = EncoderDecoder.load(path)
         pack = make_pack([(2, 3), (4, 5)], (6,), (7,))
         cands = [(7,), (8,), (9,)]
-        np.testing.assert_array_equal(m.candidate_logprobs(pack, cands),
-                                      m2.candidate_logprobs(pack, cands))
+        np.testing.assert_array_equal(
+            m.batch_logprobs(*m.encode_batch([pack]), cands).data,
+            m2.batch_logprobs(*m2.encode_batch([pack]), cands).data)
 
     def test_round_trip_keeps_float32_training_weights(self, tmp_path):
         """After Adam steps the weights are float32; a checkpoint keeps
@@ -277,8 +254,9 @@ class TestCheckpoint:
         assert m2.weight_fingerprint() == m.weight_fingerprint()
         pack = make_pack([(2, 3), (4, 5)], (6,), (7,))
         cands = [(7,), (8,), (9,)]
-        np.testing.assert_array_equal(m.candidate_logprobs(pack, cands),
-                                      m2.candidate_logprobs(pack, cands))
+        np.testing.assert_array_equal(
+            m.batch_logprobs(*m.encode_batch([pack]), cands).data,
+            m2.batch_logprobs(*m2.encode_batch([pack]), cands).data)
 
     @staticmethod
     def _drop_array(arrays):
@@ -296,19 +274,35 @@ class TestCheckpoint:
     def _add_array(arrays):
         arrays["stray"] = np.zeros(2)
 
+    # file edits: take the path, not the arrays
+    @staticmethod
+    def _file_truncate(path):
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2])
+
+    @staticmethod
+    def _file_text(path):
+        path.write_text("step,loss,lr\n")
+
     @pytest.mark.parametrize("edit,match", [
         ("_drop_array", r"missing arrays \['dec.0.ffn.w1'\]"),
         ("_cut_embed", r"'embed' has shape \(3, 16\)"),
         ("_nan_weight", r"'enc.0.attn.wq' holds non-finite"),
         ("_add_array", r"unexpected arrays \['stray'\]"),
-    ], ids=["missing", "wrong_shape", "nan", "extra"])
+        ("_file_truncate", "not a checkpoint archive"),
+        ("_file_text", "not a checkpoint archive"),
+    ], ids=["missing", "wrong_shape", "nan", "extra", "truncated",
+            "not_an_archive"])
     def test_untrustworthy_checkpoint_raises(self, tmp_path, edit, match):
-        path = os.path.join(tmp_path, "ckpt.npz")
+        path = tmp_path / "ckpt.npz"
         small_model(seed=7).save(path)
-        with np.load(path) as blob:
-            arrays = {name: blob[name] for name in blob.files}
-        getattr(self, edit)(arrays)
-        np.savez(path, **arrays)
+        if edit.startswith("_file_"):
+            getattr(self, edit)(path)
+        else:
+            with np.load(path) as blob:
+                arrays = {name: blob[name] for name in blob.files}
+            getattr(self, edit)(arrays)
+            np.savez(path, **arrays)
         with pytest.raises(CheckpointError, match=match):
             EncoderDecoder.load(path)
 

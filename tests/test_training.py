@@ -347,8 +347,8 @@ class TestOptimizers:
 
     def test_adam_leaves_parameter_without_gradient_untouched(self):
         """A parameter with no gradient keeps its weights and its moments;
-        the others follow the reference formula, "d" across the boundary
-        between two update chunks."""
+        the others follow the reference formula, "d" (30000 entries, more
+        than an update chunk) as one run of its own."""
         rng = np.random.default_rng(14)
         shapes = {"a": (3, 4), "b": (5,), "c": (2, 3), "d": (3, 10000)}
         params = {n: tz.Tensor(rng.standard_normal(s), requires_grad=True)
