@@ -3,16 +3,14 @@ dense/FiD/ensemble fusion baselines and a scaling benchmark."""
 
 from .attention import full_attention, score_storage, structured_attention
 from .model import EncoderDecoder, ModelConfig
-from .segments import (AttentionMask, RelativeBiasTable, SegmentLayout,
-                       bias_for_layout, build_full_mask,
-                       build_structured_mask, permute_segments,
-                       relative_bucket)
+from .segments import (RelativeBiasTable, SegmentLayout, bias_for_layout,
+                       build_full_mask, build_structured_mask,
+                       permute_segments, relative_bucket)
 from .tensor import Tensor, backward, contract, softmax_last
 
 __all__ = [
-    "AttentionMask", "EncoderDecoder",
-    "ModelConfig", "RelativeBiasTable", "SegmentLayout", "Tensor",
-    "backward", "bias_for_layout", "build_full_mask",
+    "EncoderDecoder", "ModelConfig", "RelativeBiasTable", "SegmentLayout",
+    "Tensor", "backward", "bias_for_layout", "build_full_mask",
     "build_structured_mask", "contract", "full_attention",
     "permute_segments", "relative_bucket", "score_storage", "softmax_last",
     "structured_attention",

@@ -79,12 +79,11 @@ def full_attention(q, k, v, mask, bias=None):
     """z = softmax(q k^T + bias + mask) v, per head.
 
     q: (..., Tq, d); k, v: (..., Tk, d), with any leading axes, such as
-    (B, H). mask: AttentionMask, additive array broadcastable to
-    (..., Tq, Tk), or None. bias: tensor broadcastable to (..., Tq, Tk),
-    such as a shared (H, Tq, Tk), or None. One dense score matrix, no
-    blocks.
+    (B, H). mask: additive array broadcastable to (..., Tq, Tk), or None.
+    bias: tensor broadcastable to (..., Tq, Tk), such as a shared
+    (H, Tq, Tk), or None. One dense score matrix, no blocks.
     """
-    return _dense_node(q, k, v, getattr(mask, "values", mask), bias)
+    return _dense_node(q, k, v, mask, bias)
 
 
 def structured_attention(q, k, v, layout, bias_block=None):
@@ -195,7 +194,7 @@ def dense_structured_reference(q, k, v, layout, table):
     lead = "ABCDEF"[:q.data.ndim - 2]
     q = scale(q, q.data.shape[-1] ** -0.5)
     scores = add(contract(f"{lead}td,{lead}rd->{lead}tr", q, k),
-                 constant(mask.values))
+                 constant(mask))
     if table:
         scores = add(scores, bias_for_layout(table, layout))
     return contract(f"{lead}tr,{lead}rd->{lead}td", softmax_last(scores), v)

@@ -90,8 +90,8 @@ def _time_cell(variant, k, L, spec, rng):
     return times
 
 
-def run_bench(spec, csv_path=None):
-    """Benchmark every (variant, k, L) cell; optionally emit CSV."""
+def run_bench(spec):
+    """Benchmark every (variant, k, L) cell."""
     rng = np.random.default_rng(spec.seed)
     records = []
     for variant in spec.variants:
@@ -107,9 +107,6 @@ def run_bench(spec, csv_path=None):
                 records.append(BenchRecord(
                     variant, k, L, float(np.mean(times)),
                     float(np.median(times)), float(np.std(times)), storage))
-    if csv_path is not None:
-        with open(csv_path, "w", newline="") as fh:
-            fh.write(to_csv(records))
     return records
 
 

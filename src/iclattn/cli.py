@@ -5,8 +5,8 @@ Subcommands: verify (property suites), train (meta-training), eval
 
 Exit codes: 0 success, 1 verification/eval failure, 2 usage error.
 `train` and `bench` read a flat key=value file (`--config`) of config
-fields. Flags given on the command line win over it, ICLATTN_SEED over any
-seed; a bad key or value is a usage error, before any model is built.
+fields. Flags given on the command line win over it; a bad key or value
+is a usage error, before any model is built.
 """
 
 import argparse
@@ -24,8 +24,6 @@ from . import tasks, training, verify  # noqa: E402
 from .attention import VARIANTS  # noqa: E402
 from .fusion import FORMATS, SCHEMES, FusionPlan  # noqa: E402
 from .model import EncoderDecoder, ModelConfig  # noqa: E402
-
-SEED_ENV = "ICLATTN_SEED"
 
 
 def read_config_file(path):
@@ -62,17 +60,11 @@ def apply_config(cfg, values):
                            for key, val in values.items()})
 
 
-def _seed_override(seed):
-    return int(os.environ[SEED_ENV]) if SEED_ENV in os.environ else seed
-
-
 def _build_config(cls, args):
     """`cls` from its defaults, under the `--config` file, under the flags
-    given on the command line, under ICLATTN_SEED for the seed."""
+    given on the command line."""
     values = read_config_file(args.config) if args.config else {}
     values.update(args.given)
-    if SEED_ENV in os.environ:
-        values["seed"] = os.environ[SEED_ENV]
     return apply_config(cls(), values)
 
 
@@ -85,15 +77,14 @@ class _FieldFlag(argparse.Action):
         namespace.given = {**namespace.given, self.dest: values}
 
 
-def _add_field_flags(p, cfg, names, **extra):
+def _add_field_flags(p, cfg, names):
     """`--config`, and a flag per named field of the config dataclass
-    `cfg`, with the field's value as its default. `extra` maps a field
-    name to more `add_argument` keywords."""
+    `cfg`, with the field's value as its default."""
     p.set_defaults(given={})
     p.add_argument("--config", help="flat key=value config file")
     for name in names:
         p.add_argument("--" + name.replace("_", "-"), default=getattr(cfg, name),
-                       action=_FieldFlag, **extra.get(name, {}))
+                       action=_FieldFlag)
 
 
 def _usage_error(command, message):
@@ -115,9 +106,7 @@ def build_parser():
     p.add_argument("--family", default="lookup", choices=sorted(tasks.FAMILIES))
     p.add_argument("--variant", default="structured", choices=VARIANTS)
     _add_field_flags(p, training.TrainConfig(),
-                     ("steps", "batch_size", "lr", "train_k", "seed",
-                      "optimizer"),
-                     optimizer={"choices": tuple(training.OPTIMIZERS)})
+                     ("steps", "batch_size", "lr", "train_k", "seed"))
     p.add_argument("--log-csv", help="write step,loss,lr CSV here")
     p.add_argument("--checkpoint", help="save trained weights here (.npz)")
 
@@ -197,16 +186,16 @@ def cmd_eval(args):
     if error:
         return _usage_error("eval", error)
     family = tasks.make_family(args.family)
-    seed0 = _seed_override(args.seed)
     try:
         model = (EncoderDecoder.load(args.checkpoint) if args.checkpoint else
-                 EncoderDecoder(ModelConfig(variant=args.variant), seed=seed0))
+                 EncoderDecoder(ModelConfig(variant=args.variant), seed=args.seed))
     except (OSError, ValueError) as err:
         return _usage_error("eval", err)
     plan = FusionPlan(scheme, args.groups)
     result = training.evaluate(model, family, args.test_k,
                                episodes=args.episodes,
-                               seeds=tuple(seed0 + s for s in range(args.seeds)),
+                               seeds=tuple(args.seed + s
+                                           for s in range(args.seeds)),
                                l_max=args.l_max, fmt=args.fmt, plan=plan)
     per_seed = ", ".join(f"{a:.3f}" for a in result.per_seed)
     print(f"accuracy: {result.mean:.3f} +- {result.std:.3f}  (per seed: {per_seed})")
@@ -218,8 +207,12 @@ def cmd_bench(args):
         spec = _build_config(bench_mod.BenchSpec, args)
     except (OSError, ValueError) as err:
         return _usage_error("bench", err)
-    records = bench_mod.run_bench(spec, csv_path=args.csv)
+    if args.csv and not os.path.isdir(os.path.dirname(args.csv) or "."):
+        return _usage_error("bench", f"--csv {args.csv}: no such directory")
+    records = bench_mod.run_bench(spec)
     if args.csv:
+        with open(args.csv, "w", newline="") as fh:
+            fh.write(bench_mod.to_csv(records))
         print(f"wrote {len(records)} records to {args.csv}")
     else:
         sys.stdout.write(bench_mod.to_csv(records))

@@ -85,8 +85,8 @@ class FusionPlan:
             raise ValueError(f"unknown fusion scheme {self.scheme!r}")
         if self.groups < 1:
             raise ValueError("groups must be >= 1")
-        if self.scheme == "single" and self.groups != 1:
-            raise ValueError("single-prompt scheme requires groups == 1")
+        if self.scheme in ("single", "fid") and self.groups != 1:
+            raise ValueError(f"{self.scheme} scheme requires groups == 1")
 
 
 def _demo_tokens(example, fmt):

@@ -1,7 +1,7 @@
 """Tiny encoder-decoder transformer with pluggable encoder attention.
 
-The encoder runs either dense attention (global relative bias, full
-mask) or the block-structured variant (shared within-segment bias,
+The encoder runs either dense attention (global relative bias, padding
+keys blocked) or the block-structured variant (shared within-segment bias,
 segmented mask). The decoder is always dense: causal self-attention with
 a unidirectional relative bias, plus cross-attention over all encoder
 positions with padding keys blocked.
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import attention as attn
 from . import tensor as tz
-from .segments import MASK_VALUE, RelativeBiasTable, build_full_mask
+from .segments import MASK_VALUE, RelativeBiasTable
 from .tensor import Tensor
 
 PAD_ID = 0
@@ -198,7 +198,7 @@ class EncoderDecoder:
         if structured:
             bias = self.enc_bias.bias_block(layout.segment_length)
         else:
-            mask = build_full_mask(layout)
+            key_mask = layout.key_mask()
             bias = self.enc_bias.bias_global(layout.total_length)
 
         x = self._mark_test(tz.embed(self.params["embed"], tokens), layout)
@@ -208,7 +208,7 @@ class EncoderDecoder:
             if structured:
                 z = attn.structured_attention(*qkv, layout, bias_block=bias)
             else:
-                z = attn.full_attention(*qkv, mask, bias)
+                z = attn.full_attention(*qkv, key_mask, bias)
             x = tz.add(x, self._out(z, f"enc.{i}.attn"))
             x = tz.add(x, self._ffn(self._ln(x, f"enc.{i}.ln2"), f"enc.{i}.ffn"))
         return self._ln(x, "enc.final")
@@ -317,27 +317,39 @@ class EncoderDecoder:
     @classmethod
     def load(cls, path):
         """Rebuild a model from a `save` file. Raises CheckpointError when
-        the file is no npz archive, the header is missing or of another
-        version, or an array is missing, unexpected, of the wrong shape for
-        the config, or not finite. Reads `_checkpoint_path(path)`, the file
-        `save` wrote. Float32 arrays stay float32, others become float64."""
+        the file is no npz archive, the header is missing, unreadable or of
+        another version, its config is one `ModelConfig` rejects, or an
+        array is missing, unexpected, of the wrong shape for the config, or
+        not finite. Reads `_checkpoint_path(path)`, the file `save` wrote.
+        Float32 arrays stay float32, others become float64."""
         path = _checkpoint_path(path)
         try:
             with np.load(path) as blob:
                 arrays = {name: blob[name] for name in blob.files}
-        except (ValueError, EOFError, zipfile.BadZipFile) as err:
+        except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as err:
+            # a bare .npy array loads as an ndarray, no context manager
             raise CheckpointError(
                 f"{path}: not a checkpoint archive: {err}") from err
         if "__header__" not in arrays:
             raise CheckpointError(f"{path}: no checkpoint header")
-        header = json.loads(bytes(arrays.pop("__header__").tobytes()).decode())
-        if header.get("version") != CHECKPOINT_VERSION:
+        try:
+            header = json.loads(
+                bytes(arrays.pop("__header__").tobytes()).decode())
+            version = header["version"]
+        except (ValueError, TypeError, KeyError) as err:
             raise CheckpointError(
-                f"unsupported checkpoint version: {header.get('version')}")
-        config = dict(header["config"])
-        # older checkpoints record a `dropout` field that was never active
-        config.pop("dropout", None)
-        model = cls(ModelConfig(**config))
+                f"{path}: unreadable checkpoint header: {err!r}") from err
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version: {version}")
+        try:
+            config = dict(header["config"])
+            # older checkpoints record a `dropout` field that was never active
+            config.pop("dropout", None)
+            config = ModelConfig(**config)
+        except (ValueError, TypeError, KeyError) as err:
+            raise CheckpointError(
+                f"{path}: bad checkpoint config: {err!r}") from err
+        model = cls(config)
         missing = sorted(model.params.keys() - arrays.keys())
         if missing:
             raise CheckpointError(f"{path}: missing arrays {missing}")

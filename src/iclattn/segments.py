@@ -64,17 +64,6 @@ class SegmentLayout:
         return SegmentLayout(self.num_demos, self.segment_length, valid)
 
 
-@dataclass(frozen=True)
-class AttentionMask:
-    """Additive (T, T) mask: 0 where query may attend key, MASK_VALUE
-    where blocked."""
-
-    values: np.ndarray
-
-    def allowed_count(self):
-        return int((self.values == 0).sum())
-
-
 def _check_perm(perm, k):
     perm = tuple(int(p) for p in perm)
     if sorted(perm) != list(range(k)):
@@ -88,9 +77,11 @@ def _segment_ids(layout):
 
 
 def build_structured_mask(layout):
-    """Demonstration tokens attend within their own segment and to the
-    test segment; test tokens attend everywhere. Padding keys are blocked
-    for all queries. With every segment full, (3k+1)*L^2 pairs stay open.
+    """Additive (T, T) mask, 0 where a query may attend a key and
+    MASK_VALUE where it is blocked. Demonstration tokens attend within
+    their own segment and to the test segment; test tokens attend
+    everywhere. Padding keys are blocked for all queries. With every
+    segment full, (3k+1)*L^2 pairs stay open.
     """
     seg = _segment_ids(layout)
     test = layout.num_demos
@@ -98,14 +89,15 @@ def build_structured_mask(layout):
     to_test = seg[None, :] == test
     from_test = seg[:, None] == test
     allowed = (same | to_test | from_test) & layout.key_valid()[None, :]
-    return AttentionMask(np.where(allowed, 0.0, MASK_VALUE))
+    return np.where(allowed, 0.0, MASK_VALUE)
 
 
 def build_full_mask(layout):
-    """Dense baseline: every non-padding key is visible to every query."""
+    """Additive (T, T) mask of the dense baseline: every non-padding key
+    is visible to every query."""
     allowed = np.broadcast_to(layout.key_valid()[None, :],
                               (layout.total_length, layout.total_length))
-    return AttentionMask(np.where(allowed, 0.0, MASK_VALUE))
+    return np.where(allowed, 0.0, MASK_VALUE)
 
 
 def relative_bucket(delta, num_buckets=32, max_distance=128, bidirectional=True):

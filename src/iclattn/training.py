@@ -39,7 +39,6 @@ class TrainConfig:
     lr: float = 2e-3
     warmup_frac: float = 0.1
     seed: int = 0
-    optimizer: str = "adam"
     fmt: str = "direct"
     l_max: int = 8
     grad_clip: float = 1.0  # global-norm ceiling; 0 disables
@@ -49,8 +48,6 @@ class TrainConfig:
             raise ValueError("warmup_frac must lie in [0, 1)")
         if min(self.steps, self.train_k, self.batch_size, self.l_max) < 1:
             raise ValueError("steps, train_k, batch_size and l_max must be >= 1")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.fmt not in FORMATS:
             raise ValueError(f"unknown prompt format {self.fmt!r}")
         if self.lr <= 0:
@@ -164,51 +161,12 @@ class Adam:
             p.grad = None
 
 
-class Adafactor:
-    """Factored adaptive optimizer: matrices keep row/column second-moment
-    accumulators instead of a full one."""
-
-    def __init__(self, params, decay=0.8, eps=1e-30):
-        self.params = params
-        self.decay = decay
-        self.eps = eps
-        self.t = 0
-        self.state = {}
-        for n, p in params.items():
-            if p.data.ndim == 2:
-                self.state[n] = (np.zeros(p.data.shape[0]), np.zeros(p.data.shape[1]))
-            else:
-                self.state[n] = np.zeros_like(p.data)
-
-    def step(self, lr):
-        self.t += 1
-        beta = 1 - self.t ** (-self.decay)
-        for n, p in self.params.items():
-            if p.grad is None:
-                continue
-            g2 = p.grad * p.grad + self.eps
-            if p.data.ndim == 2:
-                r, c = self.state[n]
-                r = beta * r + (1 - beta) * g2.mean(axis=1)
-                c = beta * c + (1 - beta) * g2.mean(axis=0)
-                self.state[n] = (r, c)
-                v = np.outer(r, c) / max(r.mean(), self.eps)
-            else:
-                v = self.state[n] = beta * self.state[n] + (1 - beta) * g2
-            p.data -= lr * p.grad / np.sqrt(v + self.eps)
-
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
-
-
-OPTIMIZERS = {"adam": Adam, "adafactor": Adafactor}
-
-
 def make_optimizer(kind, params):
-    if kind not in OPTIMIZERS:
+    """`Adam(params)` for `kind` "adam", the one optimizer; any other kind
+    raises ValueError. The benchmark builds its optimizer through this."""
+    if kind != "adam":
         raise ValueError(f"unknown optimizer {kind!r}")
-    return OPTIMIZERS[kind](params)
+    return Adam(params)
 
 
 def batch_loss(model, episodes, cfg):
@@ -299,9 +257,9 @@ def sample_batch(family, k, batch_size, rng):
 
 
 def train(model, family, cfg, log_path=None, progress=None):
-    """Full meta-training run. Deterministic in (cfg.seed, cfg)."""
+    """Full meta-training run with Adam. Deterministic in (cfg.seed, cfg)."""
     rng = np.random.default_rng(cfg.seed)
-    optimizer = make_optimizer(cfg.optimizer, model.parameters())
+    optimizer = Adam(model.parameters())
     history = []
     writer = fh = None
     if log_path is not None:

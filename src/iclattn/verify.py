@@ -111,8 +111,8 @@ def mask_counts(max_k=6, max_l=5):
     for k in range(max_k + 1):
         for L in range(1, max_l + 1):
             layout = SegmentLayout(k, L, (L,) * (k + 1))
-            sa = build_structured_mask(layout).allowed_count()
-            fu = build_full_mask(layout).allowed_count()
+            sa = int((build_structured_mask(layout) == 0).sum())
+            fu = int((build_full_mask(layout) == 0).sum())
             if sa != (3 * k + 1) * L * L or fu != ((k + 1) * L) ** 2:
                 return False, (k, L, sa, fu)
             brute = 0

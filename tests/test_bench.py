@@ -53,10 +53,9 @@ class TestRunBench:
         structured = [r for r in records if r.variant == "structured"]
         assert not any(r.oom for r in structured)
 
-    def test_csv_output(self, tmp_path):
-        path = tmp_path / "bench.csv"
-        records = run_bench(tiny_spec(), csv_path=path)
-        lines = path.read_text().strip().splitlines()
+    def test_csv_output(self):
+        records = run_bench(tiny_spec())
+        lines = to_csv(records).strip().splitlines()
         assert lines[0] == "variant,k,L,mean_ms,median_ms,std_ms,score_storage,oom"
         assert len(lines) == len(records) + 1
 

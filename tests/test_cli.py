@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from iclattn import cli
 from iclattn.bench import BenchSpec
+from iclattn.model import CHECKPOINT_VERSION
 from iclattn.training import TrainConfig
 
 
@@ -21,9 +24,9 @@ class TestConfigFile:
 
     def test_apply_coerces_types(self):
         cfg = cli.apply_config(TrainConfig(), {
-            "steps": "7", "lr": "0.5", "optimizer": "adafactor"})
+            "steps": "7", "lr": "0.5", "fmt": "channel"})
         assert cfg.steps == 7 and cfg.lr == 0.5
-        assert cfg.optimizer == "adafactor"
+        assert cfg.fmt == "channel"
         spec = cli.apply_config(BenchSpec(), {"k_grid": "2, 4",
                                               "variants": "structured"})
         assert spec.k_grid == (2, 4) and spec.variants == ("structured",)
@@ -36,13 +39,13 @@ class TestConfigFile:
         assert spec.repetitions == 5 and spec.mem_budget_bytes == 1e6
 
     @pytest.mark.parametrize("command, text", [
-        ("train", "optimizer = sgd\n"),
+        ("train", "fmt = sideways\n"),
         ("train", "steps = 0\n"),
         ("train", "stpes = 5\n"),
         ("train", "lr = fast\n"),
         ("bench", "variants = structured,sparse\n"),
         ("train", None),
-    ], ids=["unknown_optimizer", "zero_steps", "unknown_key", "bad_value",
+    ], ids=["unknown_format", "zero_steps", "unknown_key", "bad_value",
             "unknown_variant", "missing_file"])
     def test_config_error_is_usage_error(self, command, text, tmp_path,
                                          capsys, monkeypatch):
@@ -64,29 +67,27 @@ class TestConfigFile:
                          "--log-csv", str(log)]) == 0
         assert len(log.read_text().strip().splitlines()) == 1 + 1
 
-    def test_config_file_wins_over_flag_defaults(self, tmp_path,
-                                                 monkeypatch):
-        """Only flags given on the command line override the file, and
-        ICLATTN_SEED overrides both."""
-        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    def test_config_file_wins_over_flag_defaults(self, tmp_path):
+        """Only flags given on the command line override the file."""
         path = tmp_path / "f.cfg"
         path.write_text("seed = 5\nrepetitions = 4\nwarmup = 3\n")
         args = cli.build_parser().parse_args(
             ["bench", "--config", str(path), "--warmup", "1"])
         spec = cli._build_config(BenchSpec, args)
         assert (spec.seed, spec.repetitions, spec.warmup) == (5, 4, 1)
-        monkeypatch.setenv(cli.SEED_ENV, "9")
-        assert cli._build_config(BenchSpec, args).seed == 9
 
-
-class TestSeedOverride:
-    def test_env_wins(self, monkeypatch):
-        monkeypatch.setenv(cli.SEED_ENV, "99")
-        assert cli._seed_override(3) == 99
-
-    def test_default_without_env(self, monkeypatch):
-        monkeypatch.delenv(cli.SEED_ENV, raising=False)
-        assert cli._seed_override(3) == 3
+    def test_optimizer_is_not_an_option(self, tmp_path, capsys, monkeypatch):
+        """Adam is the one optimizer: neither a flag nor a config key
+        chooses it."""
+        monkeypatch.setattr(cli, "EncoderDecoder", None)
+        with pytest.raises(SystemExit) as err:
+            cli.main(["train", "--optimizer", "adam"])
+        assert err.value.code == 2
+        path = tmp_path / "f.cfg"
+        path.write_text("optimizer = adam\n")
+        assert cli.main(["train", "--config", str(path)]) == 2
+        assert ("iclattn train: error: unknown config key(s) optimizer"
+                in capsys.readouterr().err)
 
 
 class TestParser:
@@ -199,13 +200,29 @@ class TestCommands:
         err = capsys.readouterr().err
         assert f"iclattn train: error: {flag} {path}: no such directory" in err
 
-    @pytest.mark.parametrize("text", [None, "not a checkpoint\n"],
-                             ids=["missing", "untrustworthy"])
-    def test_eval_bad_checkpoint_is_usage_error(self, text, tmp_path,
+    def test_bench_missing_csv_directory(self, tmp_path, capsys,
+                                         monkeypatch):
+        """A missing `--csv` directory is a usage error before any cell
+        runs, not a failed write after the whole grid is timed."""
+        monkeypatch.setattr(cli.bench_mod, "run_bench", None)
+        path = tmp_path / "missing" / "x.csv"
+        assert cli.main(["bench", "--csv", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"iclattn bench: error: --csv {path}: no such directory" in err
+
+    @pytest.mark.parametrize("content", [None, "not a checkpoint\n", {
+        "version": CHECKPOINT_VERSION, "config": {"width": 8}}],
+        ids=["missing", "untrustworthy", "unknown_config_field"])
+    def test_eval_bad_checkpoint_is_usage_error(self, content, tmp_path,
                                                 capsys):
+        """A missing file, a text file, or an archive whose header (the
+        dict `content`) has a config field `ModelConfig` does not know."""
         path = tmp_path / "m.npz"
-        if text is not None:
-            path.write_text(text)
+        if isinstance(content, str):
+            path.write_text(content)
+        elif content is not None:
+            np.savez(path, __header__=np.frombuffer(
+                json.dumps(content).encode(), dtype=np.uint8))
         assert cli.main(["eval", "--checkpoint", str(path), "--test-k", "2",
                          "--episodes", "1", "--seeds", "1"]) == 2
         assert "iclattn eval: error: " in capsys.readouterr().err
@@ -246,9 +263,8 @@ class TestCommands:
         args = cli.build_parser().parse_args(["train"])
         cfg = TrainConfig()
         assert (args.steps, args.batch_size, args.lr, args.train_k,
-                args.seed, args.optimizer) == (
-            cfg.steps, cfg.batch_size, cfg.lr, cfg.train_k, cfg.seed,
-            cfg.optimizer)
+                args.seed) == (
+            cfg.steps, cfg.batch_size, cfg.lr, cfg.train_k, cfg.seed)
 
     def test_train_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "train.cfg"

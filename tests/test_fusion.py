@@ -121,6 +121,12 @@ class TestFusionPlan:
         with pytest.raises(ValueError):
             FusionPlan("single", 2)
 
+    def test_fid_requires_one_group(self):
+        """FiD encodes one demonstration per group whatever `groups` says,
+        so another group count is rejected, not ignored."""
+        with pytest.raises(ValueError, match="fid scheme"):
+            FusionPlan("fid", 3)
+
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             FusionPlan("pipeline", 1)

@@ -274,6 +274,35 @@ class TestCheckpoint:
     def _add_array(arrays):
         arrays["stray"] = np.zeros(2)
 
+    @staticmethod
+    def _edit_header(arrays, edit):
+        header = json.loads(arrays["__header__"].tobytes())
+        arrays["__header__"] = np.frombuffer(
+            json.dumps(edit(header)).encode(), dtype=np.uint8)
+
+    @classmethod
+    def _unknown_field(cls, arrays):
+        cls._edit_header(arrays, lambda h: {
+            **h, "config": {**h["config"], "width": 8}})
+
+    @classmethod
+    def _rejected_config(cls, arrays):
+        # 16 model dimensions do not split over 3 heads
+        cls._edit_header(arrays, lambda h: {
+            **h, "config": {**h["config"], "heads": 3}})
+
+    @classmethod
+    def _no_config(cls, arrays):
+        cls._edit_header(arrays, lambda h: {"version": h["version"]})
+
+    @classmethod
+    def _list_header(cls, arrays):
+        cls._edit_header(arrays, lambda h: [h["version"], h["config"]])
+
+    @staticmethod
+    def _header_not_json(arrays):
+        arrays["__header__"] = np.frombuffer(b"{version: 1", dtype=np.uint8)
+
     # file edits: take the path, not the arrays
     @staticmethod
     def _file_truncate(path):
@@ -284,6 +313,11 @@ class TestCheckpoint:
     def _file_text(path):
         path.write_text("step,loss,lr\n")
 
+    @staticmethod
+    def _file_npy(path):
+        with open(path, "wb") as fh:     # np.save would append .npy
+            np.save(fh, np.zeros(3))
+
     @pytest.mark.parametrize("edit,match", [
         ("_drop_array", r"missing arrays \['dec.0.ffn.w1'\]"),
         ("_cut_embed", r"'embed' has shape \(3, 16\)"),
@@ -291,8 +325,15 @@ class TestCheckpoint:
         ("_add_array", r"unexpected arrays \['stray'\]"),
         ("_file_truncate", "not a checkpoint archive"),
         ("_file_text", "not a checkpoint archive"),
+        ("_file_npy", "not a checkpoint archive"),
+        ("_unknown_field", "bad checkpoint config.*width"),
+        ("_rejected_config", "bad checkpoint config.*divisible by heads"),
+        ("_no_config", "bad checkpoint config.*'config'"),
+        ("_list_header", "unreadable checkpoint header"),
+        ("_header_not_json", "unreadable checkpoint header"),
     ], ids=["missing", "wrong_shape", "nan", "extra", "truncated",
-            "not_an_archive"])
+            "not_an_archive", "bare_npy", "unknown_config_field",
+            "rejected_config", "no_config", "list_header", "not_json"])
     def test_untrustworthy_checkpoint_raises(self, tmp_path, edit, match):
         path = tmp_path / "ckpt.npz"
         small_model(seed=7).save(path)

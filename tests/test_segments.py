@@ -14,6 +14,10 @@ def full_layout(k, L):
     return SegmentLayout(k, L, (L,) * (k + 1))
 
 
+def open_pairs(mask):
+    return int((mask == 0).sum())
+
+
 def brute_force_allowed(layout):
     """Boolean matrix built directly from the attention rule: same
     segment, or key in test, or query in test; padding keys blocked."""
@@ -47,23 +51,23 @@ class TestLayout:
 class TestStructuredMask:
     def test_k1_l1_all_allowed(self):
         mask = build_structured_mask(full_layout(1, 1))
-        np.testing.assert_array_equal(mask.values, np.zeros((2, 2)))
+        np.testing.assert_array_equal(mask, np.zeros((2, 2)))
 
     def test_k2_l1_cross_demo_blocked(self):
-        mask = build_structured_mask(full_layout(2, 1)).values
+        mask = build_structured_mask(full_layout(2, 1))
         expected = np.zeros((3, 3))
         expected[0, 1] = expected[1, 0] = MASK_VALUE
         np.testing.assert_array_equal(mask, expected)
 
     def test_k4_l3_allowed_count(self):
-        assert build_structured_mask(full_layout(4, 3)).allowed_count() == 117
+        assert open_pairs(build_structured_mask(full_layout(4, 3))) == 117
 
     @pytest.mark.parametrize("k,L", [(0, 1), (0, 4), (1, 2), (3, 3), (5, 2), (6, 5)])
     def test_matches_brute_force_full(self, k, L):
         layout = full_layout(k, L)
         mask = build_structured_mask(layout)
-        np.testing.assert_array_equal(mask.values == 0, brute_force_allowed(layout))
-        assert mask.allowed_count() == (3 * k + 1) * L * L
+        np.testing.assert_array_equal(mask == 0, brute_force_allowed(layout))
+        assert open_pairs(mask) == (3 * k + 1) * L * L
 
     def test_matches_brute_force_with_padding(self):
         rng = np.random.default_rng(0)
@@ -73,31 +77,31 @@ class TestStructuredMask:
             valid = tuple(int(rng.integers(1, L + 1)) for _ in range(k + 1))
             layout = SegmentLayout(k, L, valid)
             np.testing.assert_array_equal(
-                build_structured_mask(layout).values == 0,
+                build_structured_mask(layout) == 0,
                 brute_force_allowed(layout))
 
     def test_invariant_under_block_permutation(self):
         rng = np.random.default_rng(1)
         layout = SegmentLayout(4, 3, (3, 2, 3, 1, 2))
         perm = tuple(rng.permutation(4))
-        mask = build_structured_mask(layout).values
+        mask = build_structured_mask(layout)
         permuted_both = permute_segments(
             layout, permute_segments(layout, mask, perm, axis=0), perm, axis=1)
         np.testing.assert_array_equal(
-            permuted_both, build_structured_mask(layout.permuted(perm)).values)
+            permuted_both, build_structured_mask(layout.permuted(perm)))
 
 
 class TestFullMask:
     def test_k1_l1(self):
         np.testing.assert_array_equal(
-            build_full_mask(full_layout(1, 1)).values, np.zeros((2, 2)))
+            build_full_mask(full_layout(1, 1)), np.zeros((2, 2)))
 
     def test_k2_l2_count(self):
-        assert build_full_mask(full_layout(2, 2)).allowed_count() == 36
+        assert open_pairs(build_full_mask(full_layout(2, 2))) == 36
 
     def test_k4_l3_ratio(self):
-        full = build_full_mask(full_layout(4, 3)).allowed_count()
-        structured = build_structured_mask(full_layout(4, 3)).allowed_count()
+        full = open_pairs(build_full_mask(full_layout(4, 3)))
+        structured = open_pairs(build_structured_mask(full_layout(4, 3)))
         assert full == 225
         assert full / structured == pytest.approx(225 / 117)
 
