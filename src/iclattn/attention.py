@@ -48,7 +48,7 @@ def _dense_node(q, k, v, mask_values, bias):
     kd, vd = k.data, v.data
     s = np.matmul(qs, kd.swapaxes(-1, -2))
     if mask_values is not None:
-        s += mask_values
+        s += np.asarray(mask_values, dtype=s.dtype)
     if bias is not None:
         s += bias.data
     p = tz._softmax_inplace(s)
@@ -102,7 +102,7 @@ def structured_attention(q, k, v, layout, bias_block=None):
     if T != layout.total_length:
         raise ValueError(
             f"sequence length {T} does not split into {K + 1} segments of {L}")
-    key_mask = layout.key_mask()  # (T,)
+    key_mask = layout.key_mask().astype(q.data.dtype)  # (T,)
     if K == 0:
         return _dense_node(q, k, v, key_mask, bias_block)
 

@@ -59,11 +59,12 @@ class ModelConfig:
     max_distance: int = 128
 
     def __post_init__(self):
+        counts = (self.vocab, self.d_model, self.heads, self.enc_layers,
+                  self.dec_layers, self.ffn, self.num_buckets, self.max_distance)
+        if not all(isinstance(c, (int, np.integer)) and c >= 1 for c in counts):
+            raise ValueError(f"config counts must be integers >= 1, got {counts}")
         if self.d_model % self.heads != 0:
             raise ValueError("d_model must be divisible by heads")
-        if min(self.vocab, self.d_model, self.heads, self.enc_layers,
-               self.dec_layers, self.ffn) < 1:
-            raise ValueError("all config counts must be >= 1")
         if self.variant not in attn.VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
 

@@ -234,6 +234,7 @@ def train_step(model, optimizer, episodes, lr, cfg):
     Raises NonFiniteLossError or NonFiniteGradientError, before any
     weight changes, when the loss or the global gradient norm is not
     finite."""
+    tz.keep_heap()
     optimizer.zero_grad()
     loss = batch_loss(model, episodes, cfg)
     value = loss.item()

@@ -292,6 +292,17 @@ class TestCheckpoint:
             **h, "config": {**h["config"], "heads": 3}})
 
     @classmethod
+    def _float_vocab(cls, arrays):
+        cls._edit_header(arrays, lambda h: {
+            **h, "config": {**h["config"], "vocab": 32.5}})
+
+    @classmethod
+    def _float_enc_layers(cls, arrays):
+        # JSON's 1e9 reads back as a float
+        cls._edit_header(arrays, lambda h: {
+            **h, "config": {**h["config"], "enc_layers": 1e9}})
+
+    @classmethod
     def _no_config(cls, arrays):
         cls._edit_header(arrays, lambda h: {"version": h["version"]})
 
@@ -328,12 +339,15 @@ class TestCheckpoint:
         ("_file_npy", "not a checkpoint archive"),
         ("_unknown_field", "bad checkpoint config.*width"),
         ("_rejected_config", "bad checkpoint config.*divisible by heads"),
+        ("_float_vocab", "bad checkpoint config.*integers"),
+        ("_float_enc_layers", "bad checkpoint config.*integers"),
         ("_no_config", "bad checkpoint config.*'config'"),
         ("_list_header", "unreadable checkpoint header"),
         ("_header_not_json", "unreadable checkpoint header"),
     ], ids=["missing", "wrong_shape", "nan", "extra", "truncated",
             "not_an_archive", "bare_npy", "unknown_config_field",
-            "rejected_config", "no_config", "list_header", "not_json"])
+            "rejected_config", "float_vocab", "float_enc_layers",
+            "no_config", "list_header", "not_json"])
     def test_untrustworthy_checkpoint_raises(self, tmp_path, edit, match):
         path = tmp_path / "ckpt.npz"
         small_model(seed=7).save(path)

@@ -316,3 +316,95 @@ class TestGradientOwnership:
         tz.backward(loss)
         assert h.grad is None and r.grad is None and loss.grad is None
         assert x.grad is not None and y.grad is not None
+
+
+def _embed_grad(table, ids, g):
+    table.grad = None
+    tz.backward(tz.tsum(tz.mul(tz.embed(table, ids), tz.constant(g))))
+    return table.grad
+
+
+class TestEmbedBackward:
+    @pytest.mark.parametrize("kind",
+                             ["repeated_unsorted", "bucket_matrix", "empty"])
+    def test_matches_add_at_reference(self, kind):
+        from iclattn.segments import relative_bucket
+        rng = np.random.default_rng(21)
+        if kind == "bucket_matrix":
+            pos = np.arange(40)
+            ids = relative_bucket(pos[:, None] - pos[None, :], 32, 128)
+            table = Tensor(rng.standard_normal((32, 4)), requires_grad=True)
+        elif kind == "empty":
+            ids = np.zeros(0, dtype=np.int64)
+            table = Tensor(rng.standard_normal((7, 3)), requires_grad=True)
+        else:
+            ids = np.array([[5, 1, 5, 0], [3, 5, 1, 1]])
+            table = Tensor(rng.standard_normal((7, 3)), requires_grad=True)
+        g = rng.standard_normal(ids.shape + table.shape[1:])
+        expected = np.zeros(table.shape)
+        np.add.at(expected, ids, g)
+        np.testing.assert_allclose(_embed_grad(table, ids, g), expected,
+                                   rtol=0, atol=1e-12)
+
+    def test_float32_table_keeps_float32_gradient(self):
+        rng = np.random.default_rng(22)
+        table = Tensor(rng.standard_normal((9, 4)).astype(np.float32),
+                       requires_grad=True)
+        ids = rng.integers(0, 9, size=(3, 11))
+        grad = _embed_grad(table, ids,
+                           rng.standard_normal((3, 11, 4)).astype(np.float32))
+        assert grad.dtype == np.float32
+
+
+def test_float32_layer_norm_matches_float64():
+    rng = np.random.default_rng(23)
+    x, g = rng.standard_normal((2, 9, 64)), rng.standard_normal((2, 9, 64))
+    gain, bias = rng.standard_normal(64) + 1.0, rng.standard_normal(64)
+    out = {}
+    for dtype in (np.float32, np.float64):
+        ts = [Tensor(a.astype(dtype), requires_grad=True)
+              for a in (x, gain, bias)]
+        y = tz.layer_norm(*ts)
+        tz.backward(tz.tsum(tz.mul(y, tz.constant(g.astype(dtype)))))
+        assert y.data.dtype == dtype and ts[0].grad.dtype == dtype
+        out[dtype] = [y.data] + [t.grad for t in ts]
+    for got, ref in zip(out[np.float32], out[np.float64]):
+        np.testing.assert_allclose(got, ref, rtol=1e-4, atol=1e-4)
+
+
+class TestShortRowSoftmax:
+    """Rows of up to `_SHORT_ROW` entries take their maxima from a
+    transposed copy."""
+
+    @pytest.mark.parametrize("width", [1, 16, 32, 33])
+    def test_row_max_is_exact(self, monkeypatch, width):
+        rng = np.random.default_rng(24)
+        s = rng.standard_normal((2, 3, 5, width)).astype(np.float32)
+        short = tz._softmax_inplace(s.copy())
+        monkeypatch.setattr(tz, "_SHORT_ROW", 0)    # every row takes max()
+        np.testing.assert_array_equal(short, tz._softmax_inplace(s.copy()))
+
+    def test_fully_masked_row_is_zero(self):
+        s = np.full((2, 3, 8), tz.MASK_VALUE, dtype=np.float32)
+        s[0, 1, 2] = 0.5
+        out = tz._softmax_inplace(s)
+        assert out[0, 1, 2] == 1.0
+        assert out[1].sum() == 0.0 and not np.isnan(out).any()
+
+    def test_nan_rejected(self):
+        s = np.zeros((2, 4, 6), dtype=np.float32)
+        s[1, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            tz._softmax_inplace(s)
+
+
+def test_float32_mask_gives_the_same_bits_as_float64():
+    from iclattn.attention import full_attention
+    rng = np.random.default_rng(25)
+    q, k, v = (Tensor(rng.standard_normal((2, 7, 4)).astype(np.float32))
+               for _ in range(3))
+    mask = np.where(rng.random((7, 7)) < 0.3, tz.MASK_VALUE, 0.0)
+    out64 = full_attention(q, k, v, mask).data
+    out32 = full_attention(q, k, v, mask.astype(np.float32)).data
+    assert out64.dtype == np.float32
+    np.testing.assert_array_equal(out32, out64)

@@ -1,0 +1,182 @@
+"""Record paired benchmark runs of HEAD and the uncommitted working tree.
+
+Runs `perfbench/run.py` for ten pairs per workload, alternating which
+side runs first, with a fresh seed per pair, and writes
+`BENCH_<label>.json` at the repository root: every run's end-to-end
+metrics and environment, and per metric each side's median and
+quartiles, the change's wins out of ten and how much worse the change's
+median is. Record before committing the change. Run from anywhere:
+
+    python3 tools/bench_record.py --label mychange
+    python3 tools/bench_record.py --table BENCH_mychange.json
+
+The base side is `git archive` of HEAD unpacked in a temporary
+directory, which leaves no worktree entry in `.git` behind if the
+recording is interrupted. The change side is the working tree this
+script lives in. `run.py` refuses a package imported from another tree,
+so each side runs its own tree's `run.py` from its own root. The run
+length, the workloads and the metric directions come from the working
+tree's `BENCHMARK.json`.
+
+Runs one benchmark process at a time; on a shared host, keep other work
+off the machine while it records.
+"""
+
+import argparse
+import datetime
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RUN_TIMEOUT_S = 900
+PAIRS = 10
+
+
+def git(*args):
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                          capture_output=True, text=True).stdout
+
+
+def unpack(rev, dest):
+    """The committed files of `rev` under `dest`."""
+    blob = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                          check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def run_once(tree, workload, seed, seconds):
+    """One untraced `run.py` run in `tree`: (report, result) as parsed
+    from its `report {...}` line and its last line."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+                          timeout=RUN_TIMEOUT_S)
+    lines = done.stdout.strip().splitlines()
+    reports = [ln for ln in lines if ln.startswith("report ")]
+    if not lines or not reports:
+        raise RuntimeError(f"{tree}: {workload} seed {seed} exited "
+                           f"{done.returncode}: {done.stderr.strip()[-500:]}")
+    return json.loads(reports[-1][len("report "):]), json.loads(lines[-1])
+
+
+def quartiles(xs):
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def summarize(runs, directions):
+    """Per workload and metric: each side's median and quartiles, wins
+    (ties count for neither side) and the change's "worse by"."""
+    out = {}
+    for wl in sorted({r["workload"] for r in runs}):
+        pairs = {}
+        for r in runs:
+            if r["workload"] == wl:
+                pairs.setdefault(r["pair"], {})[r["side"]] = r
+        pairs = [p for p in pairs.values() if len(p) == 2]
+        out[wl] = {}
+        for name, (unit, better) in directions.items():
+            sign = 1 if better == "lower" else -1
+            base = [p["base"]["metrics"][name] for p in pairs]
+            change = [p["change"]["metrics"][name] for p in pairs]
+            wins = sum(sign * (c - b) < 0 for b, c in zip(base, change))
+            sb, sc = quartiles(base), quartiles(change)
+            out[wl][name] = {
+                "unit": unit, "better": better, "base": sb, "change": sc,
+                "wins": wins, "pairs": len(pairs),
+                "worse_by": sign * (sc["median"] - sb["median"]) / sb["median"],
+                "gap_exceeds_base_iqr":
+                    abs(sc["median"] - sb["median"]) > sb["q3"] - sb["q1"],
+            }
+    return out
+
+
+def table(record):
+    """The markdown table that `CHANGES.md` quotes."""
+    rows = ["| workload | metric | base | change | worse by | change wins |",
+            "| --- | --- | --- | --- | --- | --- |"]
+    for wl, metrics in record["summary"].items():
+        for name, m in metrics.items():
+            cell = [f"{m[s]['median']:.5g} [{m[s]['q1']:.5g}-{m[s]['q3']:.5g}]"
+                    for s in ("base", "change")]
+            rows.append(f"| {wl} | {name} | {cell[0]} | {cell[1]} | "
+                        f"{m['worse_by']:+.1%} | {m['wins']}/{m['pairs']} |")
+    return "\n".join(rows)
+
+
+def record(args):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    directions = {m["name"]: (m["unit"], m["better"])
+                  for m in spec["end_to_end"]}
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
+    base_commit = git("rev-parse", "HEAD").strip()
+    runs = []
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
+        unpack(base_commit, tmp)
+        trees = {"base": tmp, "change": str(ROOT)}
+        for tree in trees.values():     # no side pays compilation in setup_s
+            subprocess.run([sys.executable, "-m", "compileall", "-q", "src",
+                            "perfbench"], cwd=tree, check=True)
+        for wl in workloads:
+            for i in range(PAIRS):
+                seed = args.seed + i
+                order = ("base", "change") if i % 2 == 0 else ("change", "base")
+                for side in order:
+                    report, result = run_once(trees[side], wl, seed, seconds)
+                    runs.append({
+                        "workload": wl, "pair": i, "seed": seed, "side": side,
+                        "first": side == order[0],
+                        "correct": result["correct"],
+                        "failed": result["failed"],
+                        "attempted": result["attempted"],
+                        "metrics": {k: v["value"]
+                                    for k, v in result["metrics"].items()},
+                        "ops": report["samples"]["ops"],
+                        "environment": report["environment"],
+                    })
+                    print(f"{wl} pair {i} seed {seed} {side}: "
+                          f"{runs[-1]['metrics']}", flush=True)
+    out = {
+        "label": args.label,
+        "created_utc": datetime.datetime.now(datetime.timezone.utc)
+                               .isoformat(timespec="seconds"),
+        "base": {"commit": base_commit},
+        "change": {"dirty": bool(git("status", "--porcelain", "--", "src"))},
+        "settings": {"pairs": PAIRS, "seconds": seconds,
+                     "first_seed": args.seed, "workloads": workloads,
+                     "command": spec["command"]},
+        "runs": runs,
+        "summary": summarize(runs, directions),
+    }
+    path = ROOT / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(out, indent=1) + "\n")
+    print(table(out))
+    print(f"wrote {path}")
+    return 0 if all(r["correct"] for r in runs) else 1
+
+
+def main(argv):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--label", help="names the output file BENCH_<label>.json")
+    p.add_argument("--seed", type=int, default=1501, help="first pair's seed")
+    p.add_argument("--table", metavar="BENCH_FILE",
+                   help="print the table of a recorded file and exit")
+    args = p.parse_args(argv)
+    if args.table:
+        print(table(json.loads(Path(args.table).read_text())))
+        return 0
+    if not args.label:
+        p.error("--label or --table is required")
+    return record(args)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
