@@ -39,8 +39,10 @@ class BenchSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.repetitions < 3:
-            raise ValueError("repetitions must be >= 3")
+        if self.repetitions < 3 or self.warmup < 0:
+            raise ValueError("repetitions must be >= 3 and warmup >= 0")
+        if not 0 < self.mem_budget_bytes < np.inf:  # nan fails too
+            raise ValueError("mem_budget_bytes must be finite and > 0")
         if list(self.k_grid) != sorted(set(self.k_grid)):
             raise ValueError("k grid must be strictly increasing")
         if not set(self.variants) <= set(VARIANTS):

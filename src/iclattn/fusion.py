@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EncoderOutput, PAD_ID
+from .model import PAD_ID
 from .segments import SegmentLayout
 from .tasks import TaskExample
 from .tensor import concat
@@ -139,22 +139,14 @@ def split_groups(n, groups):
 
 def group_fid_encode(model, demos, test, groups, l_max, fmt="direct"):
     """Encode G demonstration groups independently and concatenate their
-    encoder states for the decoder's cross-attention."""
-    parts = split_groups(len(demos), groups)
-    outs = []
-    for part in parts:
-        pack = pack_prompt([demos[i] for i in part], test,
-                           k=len(part), l_max=l_max, fmt=fmt)
-        outs.append(model.encode(pack))
-    states = concat([o.states for o in outs], axis=0)
-    key_valid = np.concatenate([o.key_valid for o in outs])
-    return EncoderOutput(states, key_valid)
-
-
-def fid_encode(model, demos, test, l_max, fmt="direct"):
-    """FiD: one demonstration per prompt, encoded independently."""
-    return group_fid_encode(model, demos, test, groups=len(demos),
-                            l_max=l_max, fmt=fmt)
+    encoder states on the position axis for the decoder's cross-attention.
+    Returns (states (1, T, d), key_valid (T,)), the form of `model.encode`.
+    FiD is groups=len(demos): one demonstration per prompt."""
+    outs = [model.encode(pack_prompt([demos[i] for i in part], test,
+                                     k=len(part), l_max=l_max, fmt=fmt))
+            for part in split_groups(len(demos), groups)]
+    states, key_valid = zip(*outs)
+    return concat(states, axis=1), np.concatenate(key_valid)
 
 
 def fused_logprobs(model, demos, test, candidates, plan, l_max, fmt="direct"):
@@ -180,13 +172,13 @@ def _group_logprobs(model, demos, test, candidates, groups, l_max, fmt):
     puts each candidate in y_test's place and scores x_test."""
     if fmt == "direct":
         enc = group_fid_encode(model, demos, test, groups, l_max, fmt)
-        return np.array([model.sequence_logprob(enc, list(c)).item()
+        return np.array([model.sequence_logprob(*enc, list(c)).item()
                          for c in candidates])
     scores = []
     for c in candidates:
         cand_test = TaskExample(list(test.x), list(c))
         enc = group_fid_encode(model, demos, cand_test, groups, l_max, fmt)
-        scores.append(model.sequence_logprob(enc, list(test.x)).item())
+        scores.append(model.sequence_logprob(*enc, list(test.x)).item())
     return np.array(scores)
 
 

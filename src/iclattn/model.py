@@ -80,12 +80,6 @@ def _checkpoint_path(path):
     return path if path.endswith(".npz") else path + ".npz"
 
 
-@dataclass
-class EncoderOutput:
-    states: Tensor          # (T_enc, d_model)
-    key_valid: np.ndarray   # (T_enc,) bool, False at padding positions
-
-
 def _param(rng, shape, std=None):
     # fan-in scaled by default so attention logits start at O(1)
     if std is None:
@@ -259,11 +253,11 @@ class EncoderDecoder:
         return tz.sum_last(picked)
 
     def encode(self, pack):
-        """Run the encoder over one packed prompt. Returns EncoderOutput."""
+        """Encoder over one packed prompt. Returns (states (1, T, d),
+        key_valid (T,)), the form `encode_batch` returns for one pack."""
         layout = pack.layout()
         states = self._encoder(pack.padded_tokens()[None], layout)
-        return EncoderOutput(tz.reshape(states, states.shape[1:]),
-                             layout.key_valid())
+        return states, layout.key_valid()
 
     def encode_batch(self, packs):
         """Encoder over a batch of packs sharing one layout. Returns
@@ -274,12 +268,10 @@ class EncoderDecoder:
         tokens = np.stack([p.padded_tokens() for p in packs])
         return self._encoder(tokens, layout), layout.key_valid()
 
-    def sequence_logprob(self, enc_out, continuation):
-        """Scalar tensor (shape [1]): sum of log p(y_t | y_<t, encoder
-        states) over one continuation."""
-        states = enc_out.states
-        return self._decoder(tz.reshape(states, (1,) + states.shape),
-                             enc_out.key_valid,
+    def sequence_logprob(self, states, key_valid, continuation):
+        """Scalar tensor (shape [1]): sum of log p(y_t | y_<t) over one
+        continuation against one episode's (1, T, d) encoder states."""
+        return self._decoder(states, key_valid,
                              np.asarray([continuation], dtype=np.int64))
 
     def batch_logprobs(self, states, key_valid, continuations):

@@ -50,10 +50,11 @@ class TrainConfig:
             raise ValueError("steps, train_k, batch_size and l_max must be >= 1")
         if self.fmt not in FORMATS:
             raise ValueError(f"unknown prompt format {self.fmt!r}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
-        if self.grad_clip < 0:
-            raise ValueError(f"grad_clip must be >= 0, got {self.grad_clip}")
+        if not 0 < self.lr < np.inf:  # nan fails every comparison
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0 <= self.grad_clip < np.inf:
+            raise ValueError(
+                f"grad_clip must be finite and >= 0, got {self.grad_clip}")
 
 
 def lr_schedule(step, cfg):

@@ -51,60 +51,6 @@ def grad_check(fn, tensors, step=1e-5, rtol=1e-4):
     return worst <= rtol, worst
 
 
-def random_instance(rng, k=None, L=None, H=None, d=4):
-    k = int(rng.integers(0, 7)) if k is None else k
-    L = int(rng.integers(1, 6)) if L is None else L
-    H = int(rng.choice([1, 2])) if H is None else H
-    valid = tuple(int(rng.integers(1, L + 1)) for _ in range(k + 1))
-    layout = SegmentLayout(k, L, valid)
-    shape = (H, layout.total_length, d)
-    q = Tensor(rng.standard_normal(shape))
-    kk = Tensor(rng.standard_normal(shape))
-    v = Tensor(rng.standard_normal(shape))
-    table = RelativeBiasTable(H, num_buckets=8, max_distance=16,
-                              rng=rng, init_std=0.5)
-    return q, kk, v, layout, table
-
-
-def oracle_equivalence(instances=100, seed=0, tol=1e-9):
-    """Structured attention vs dense oracle with structured mask + bias."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(instances):
-        q, k, v, layout, table = random_instance(rng)
-        fast = structured_attention(q, k, v, layout,
-                                    bias_block=table.bias_block(layout.segment_length))
-        ref = dense_structured_reference(q, k, v, layout, table)
-        valid = layout.key_valid()
-        diff = np.abs(fast.data - ref.data)[:, valid, :]
-        worst = max(worst, float(diff.max()))
-    return worst <= tol, worst
-
-
-def permutation_invariance(instances=50, seed=1, tol=1e-9):
-    """Permuting demonstration segments permutes demonstration outputs
-    and leaves the test-segment output unchanged."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(instances):
-        q, k, v, layout, table = random_instance(rng)
-        if layout.num_demos < 2:
-            continue
-        perm = tuple(rng.permutation(layout.num_demos))
-        bias = table.bias_block(layout.segment_length)
-        base = structured_attention(q, k, v, layout, bias_block=bias)
-        playout = layout.permuted(perm)
-        pq = permute_segments(layout, q, perm, axis=1)
-        pk = permute_segments(layout, k, perm, axis=1)
-        pv = permute_segments(layout, v, perm, axis=1)
-        permd = structured_attention(pq, pk, pv, playout, bias_block=bias)
-        expected = permute_segments(layout, base, perm, axis=1)
-        valid = playout.key_valid()
-        diff = np.abs(permd.data - expected.data)[:, valid, :]
-        worst = max(worst, float(diff.max()))
-    return worst <= tol, worst
-
-
 def mask_counts(max_k=6, max_l=5):
     """Allowed-pair counts vs brute-force evaluation of the attention
     rule, plus the closed-form counts for full layouts."""
@@ -162,11 +108,11 @@ def _value_and_grads(fn, tensors):
 
 
 def _fused_setup(layout, prompts, seed):
-    """Float64 q, k, v and bias table for one FUSED_CASES layout, the
-    tensors they differentiate, both fused nodes over them and the
-    composite oracle, in the model's (prompts, heads, T, d) layout. The
-    structured node gets its shared bias block, the full node the
-    structured mask and bias placement, each broadcast over the prompts."""
+    """Float64 q, k, v and bias table for one layout, the tensors they
+    differentiate, both fused nodes over them and the composite oracle, in
+    the model's (prompts, heads, T, d) layout. The structured node gets its
+    shared bias block, the full node the structured mask and bias
+    placement, each broadcast over the prompts."""
     rng = np.random.default_rng(seed)
     shape = (prompts, FUSED_HEADS, layout.total_length, FUSED_HEAD_DIM)
     q, k, v = (Tensor(rng.standard_normal(shape), requires_grad=True)
@@ -188,23 +134,82 @@ def _fused_setup(layout, prompts, seed):
     return [q, k, v, table.weights], nodes, oracle
 
 
+def fused_gaps(layout, prompts, seed):
+    """Both fused attention nodes against the float64 composite oracle on
+    one layout, over the output and the gradients of q, k, v and the bias
+    table: first on the float64 tensors, then on float32 copies of them.
+    Returns (worst float64 gap as max-abs difference, worst float32 gap as
+    max-abs difference over the max-abs oracle entry); the float32 gap is
+    inf when a float32 run gives anything but float32."""
+    tensors, nodes, oracle = _fused_setup(layout, prompts, seed)
+    expected = _value_and_grads(oracle, tensors)
+    got = [_value_and_grads(node, tensors) for node in nodes]
+    gap = max(float(np.max(np.abs(a - b)))
+              for run in got for a, b in zip(run, expected))
+    for t in tensors:
+        t.data = t.data.astype(np.float32)
+    got = [_value_and_grads(node, tensors) for node in nodes]
+    # an all-zero oracle array (one key per row) divides by `tiny`, not 0
+    tiny = np.finfo(np.float64).tiny
+    gap32 = max(float(np.max(np.abs(a - b)) / np.max(np.abs(b), initial=tiny))
+                if a.dtype == np.float32 else np.inf
+                for run in got for a, b in zip(run, expected))
+    return gap, gap32
+
+
+def permutation_gap(layout, prompts, perm, seed):
+    """Both fused nodes on one layout's inputs and on the same inputs with
+    the demonstration segments permuted by `perm`. Returns the worst gap
+    between the second output and the first permuted alike: demonstration
+    outputs move with their segment, the test segment's stay put."""
+    _, nodes, _ = _fused_setup(layout, prompts, seed)
+    tensors, permuted_nodes, _ = _fused_setup(layout.permuted(perm), prompts,
+                                              seed)
+    for t in tensors[:3]:
+        t.data = permute_segments(layout, t.data, perm, axis=2)
+    gaps = [pnode().data - permute_segments(layout, node().data, perm, axis=2)
+            for node, pnode in zip(nodes, permuted_nodes)]
+    return max(float(np.max(np.abs(g))) for g in gaps)
+
+
+def _random_cases(rng, instances, min_demos):
+    """`instances` random (layout, prompts, seed) cases drawn from `rng`:
+    k in [min_demos, 6], L in [1, 5], ragged valid counts, 1-3 prompts."""
+    for _ in range(instances):
+        k, L = int(rng.integers(min_demos, 7)), int(rng.integers(1, 6))
+        valid = tuple(int(v) for v in rng.integers(1, L + 1, size=k + 1))
+        yield (SegmentLayout(k, L, valid), int(rng.integers(1, 4)),
+               int(rng.integers(2 ** 32)))
+
+
+def oracle_equivalence(instances=100, seed=0):
+    """Both fused nodes against the dense oracle with the structured mask
+    and bias, output and gradients, on random layouts."""
+    rng = np.random.default_rng(seed)
+    worst = max(fused_gaps(layout, prompts, s)[0]
+                for layout, prompts, s in _random_cases(rng, instances, 0))
+    return worst <= FUSED_ORACLE_TOL, worst
+
+
+def permutation_invariance(instances=50, seed=1):
+    """Permuting demonstration segments permutes both fused nodes'
+    demonstration outputs and leaves the test-segment output unchanged,
+    on random layouts with at least two demonstrations."""
+    rng = np.random.default_rng(seed)
+    worst = max(permutation_gap(layout, prompts,
+                                rng.permutation(layout.num_demos), s)
+                for layout, prompts, s in _random_cases(rng, instances, 2))
+    return worst <= FUSED_ORACLE_TOL, worst
+
+
 def check_fused_case(layout, prompts, seed=2, rtol=1e-4):
     """Both fused attention nodes against the composite oracle on one
     layout. Returns (worst finite-difference relative error over both
-    nodes and the oracle, worst gap between a node and the oracle over
-    the output and the gradients of q, k, v and the bias table)."""
+    nodes and the oracle, `fused_gaps`'s float64 gap)."""
     tensors, nodes, oracle = _fused_setup(layout, prompts, seed)
-    expected = _value_and_grads(oracle, tensors)
-    worst_gap = 0.0
-    for node in nodes:
-        got = _value_and_grads(node, tensors)
-        worst_gap = max([worst_gap] + [float(np.max(np.abs(a - b)))
-                                       for a, b in zip(got, expected)])
-    worst_fd = 0.0
-    for fn in nodes + [oracle]:
-        _, err = grad_check(lambda: _squared_sum(fn)[0], tensors, rtol=rtol)
-        worst_fd = max(worst_fd, err)
-    return worst_fd, worst_gap
+    worst_fd = max(grad_check(lambda: _squared_sum(fn)[0], tensors,
+                              rtol=rtol)[1] for fn in nodes + [oracle])
+    return worst_fd, fused_gaps(layout, prompts, seed)[0]
 
 
 def attention_gradients(seed=2, rtol=1e-4):
@@ -220,34 +225,12 @@ def attention_gradients(seed=2, rtol=1e-4):
     return ok, worst
 
 
-def _check_fused_float32(layout, prompts, seed=2):
-    """Both fused attention nodes run on float32 q, k, v and bias table
-    against the float64 oracle on one layout. Returns (whether every
-    output and gradient is float32, worst gap over the output and the
-    gradients as max-abs difference over the max-abs oracle entry)."""
-    tensors, nodes, oracle = _fused_setup(layout, prompts, seed)
-    expected = _value_and_grads(oracle, tensors)
-    for t in tensors:
-        t.data = t.data.astype(np.float32)
-    pure, worst = True, 0.0
-    for node in nodes:
-        got = _value_and_grads(node, tensors)
-        pure = pure and all(a.dtype == np.float32 for a in got)
-        worst = max([worst] + [float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
-                               for a, b in zip(got, expected)])
-    return pure, worst
-
-
 def attention_float32(seed=2):
-    """`_check_fused_float32` on every layout in FUSED_CASES. Passes when
-    every result is float32 and every gap within FUSED_FLOAT32_TOL; also
-    returns the worst gap."""
-    ok, worst = True, 0.0
-    for _, layout, prompts in FUSED_CASES:
-        pure, gap = _check_fused_float32(layout, prompts, seed=seed)
-        ok = ok and pure and gap <= FUSED_FLOAT32_TOL
-        worst = max(worst, gap)
-    return ok, worst
+    """`fused_gaps`'s float32 gap on every layout in FUSED_CASES. Passes
+    when every gap is within FUSED_FLOAT32_TOL; also returns the worst."""
+    worst = max(fused_gaps(layout, prompts, seed)[1]
+                for _, layout, prompts in FUSED_CASES)
+    return worst <= FUSED_FLOAT32_TOL, worst
 
 
 def run_suite(quick=False):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iclattn import verify
 from iclattn.attention import (dense_structured_reference, full_attention,
@@ -201,6 +203,24 @@ class TestFusedNodes:
         for node in nodes:
             for got, want in zip(run(node, False), run(node, True)):
                 np.testing.assert_array_equal(got, want)
+
+    @given(data=st.data(), k=st.integers(0, 6), L=st.integers(1, 5),
+           prompts=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_random_layouts_match_oracle_and_permute(self, data, k, L,
+                                                     prompts, seed):
+        """Both nodes against the oracle, output and every gradient, on
+        drawn batched, ragged and k=0 layouts; and permuting the
+        demonstrations permutes their outputs and keeps the test
+        segment's."""
+        valid = data.draw(st.lists(st.integers(1, L), min_size=k + 1,
+                                   max_size=k + 1))
+        layout = SegmentLayout(k, L, tuple(valid))
+        gap, _ = verify.fused_gaps(layout, prompts, seed)
+        assert gap <= verify.FUSED_ORACLE_TOL
+        perm = data.draw(st.permutations(range(k)))
+        assert verify.permutation_gap(layout, prompts, perm, seed) \
+            <= verify.FUSED_ORACLE_TOL
 
     def test_float32_nodes_match_float64_oracle(self):
         """Every FUSED_CASES layout with float32 inputs: float32 outputs

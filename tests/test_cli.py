@@ -163,7 +163,14 @@ class TestCommands:
         (["--k-grid=-1,2"], None),
         ([], "heads = 0\n"),
         ([], "head_dim = 0\n"),
-    ], ids=["zero_length", "negative_k", "zero_heads", "zero_head_dim"])
+        (["--mem-budget-bytes", "nan"], None),
+        (["--mem-budget-bytes", "inf"], None),
+        (["--mem-budget-bytes", "0"], None),
+        ([], "mem_budget_bytes = nan\n"),
+        (["--warmup", "-1"], None),
+    ], ids=["zero_length", "negative_k", "zero_heads", "zero_head_dim",
+            "nan_mem_budget", "inf_mem_budget", "zero_mem_budget",
+            "nan_mem_budget_file", "negative_warmup"])
     def test_bench_spec_usage_error(self, flags, text, tmp_path, capsys,
                                     monkeypatch):
         monkeypatch.setattr(cli.bench_mod, "run_bench", None)
@@ -178,7 +185,12 @@ class TestCommands:
         (["--lr", "-1"], None),
         (["--lr", "0"], None),
         ([], "grad_clip = -1\n"),
-    ], ids=["negative_lr", "zero_lr", "negative_grad_clip"])
+        (["--lr", "nan"], None),
+        (["--lr", "inf"], None),
+        ([], "grad_clip = nan\n"),
+        ([], "grad_clip = inf\n"),
+    ], ids=["negative_lr", "zero_lr", "negative_grad_clip", "nan_lr",
+            "inf_lr", "nan_grad_clip", "inf_grad_clip"])
     def test_train_config_usage_error(self, flags, text, tmp_path, capsys,
                                       monkeypatch):
         monkeypatch.setattr(cli, "EncoderDecoder", None)

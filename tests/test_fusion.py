@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iclattn.fusion import (TOKENS_PER_DEMO_BUDGET, FusionPlan, PackingError,
-                            PromptPack, fid_encode, fused_logprobs,
-                            fused_predict, group_fid_encode, pack_prompt,
-                            split_groups)
+                            PromptPack, fused_logprobs, fused_predict,
+                            group_fid_encode, pack_prompt, split_groups)
 from iclattn.model import EncoderDecoder, ModelConfig
 from iclattn.tasks import TaskExample
 
@@ -149,11 +148,17 @@ class TestDegeneracies:
         np.testing.assert_array_equal(single, ens)
 
     def test_group_fid_k_groups_equals_fid(self):
-        gf = group_fid_encode(self.model, self.demos, self.test, groups=4,
-                              l_max=8)
-        fid = fid_encode(self.model, self.demos, self.test, l_max=8)
-        assert np.abs(gf.states.data - fid.states.data).max() <= 1e-12
-        np.testing.assert_array_equal(gf.key_valid, fid.key_valid)
+        """Four groups of one is FiD: each demonstration packed alone,
+        encoded, and the states concatenated on the position axis."""
+        states, key_valid = group_fid_encode(self.model, self.demos,
+                                             self.test, groups=4, l_max=8)
+        fid = [self.model.encode(pack_prompt([d], self.test, k=1, l_max=8))
+               for d in self.demos]
+        fid_states = np.concatenate([s.data for s, _ in fid], axis=1)
+        assert states.data.shape == fid_states.shape
+        assert np.abs(states.data - fid_states).max() <= 1e-12
+        np.testing.assert_array_equal(key_valid,
+                                      np.concatenate([v for _, v in fid]))
         gf_scores = self.scores(FusionPlan("group_fid", 4))
         fid_scores = self.scores(FusionPlan("fid", 1))
         np.testing.assert_array_equal(gf_scores, fid_scores)

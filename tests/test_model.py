@@ -44,9 +44,9 @@ class TestEncode:
     def test_output_shape(self):
         m = small_model()
         pack = make_pack([(2, 3), (4, 5)], (6, 7), (8,))
-        out = m.encode(pack)
-        assert out.states.data.shape == (6, 16)
-        assert out.key_valid.all()
+        states, key_valid = m.encode(pack)
+        assert states.data.shape == (1, 6, 16)
+        assert key_valid.shape == (6,) and key_valid.all()
 
     def test_vocab_overflow(self):
         m = small_model()
@@ -60,15 +60,15 @@ class TestEncode:
         compute the same function."""
         seed = 5
         pack = make_pack([], (2, 3, 4, 5), (6,))
-        s = small_model("structured", seed=seed).encode(pack).states.data
-        f = small_model("full", seed=seed).encode(pack).states.data
+        s = small_model("structured", seed=seed).encode(pack)[0].data
+        f = small_model("full", seed=seed).encode(pack)[0].data
         assert np.abs(s - f).max() <= 1e-12
 
     def test_deterministic(self):
         m = small_model()
         pack = make_pack([(2, 3)], (4, 5), (6,))
-        a = m.encode(pack).states.data
-        b = m.encode(pack).states.data
+        a = m.encode(pack)[0].data
+        b = m.encode(pack)[0].data
         np.testing.assert_array_equal(a, b)
 
     def test_padding_positions_masked_as_keys(self):
@@ -92,7 +92,7 @@ ENTRIES = {
     "encode_batch": lambda m, t: m.encode_batch(
         [make_pack([(2, 3)], (4,), (5,)), make_pack([(2, t)], (4,), (5,))]),
     "sequence_logprob": lambda m, t: m.sequence_logprob(
-        m.encode(make_pack([(2, 3)], (4,), (5,))), [5, t]),
+        *m.encode(make_pack([(2, 3)], (4,), (5,))), [5, t]),
     "batch_logprobs": lambda m, t: m.batch_logprobs(
         *m.encode_batch([make_pack([(2, 3)], (4,), (5,))]), [[5, 6], [5, t]]),
 }
@@ -114,9 +114,9 @@ class TestTokenRange:
 class TestDecode:
     def test_empty_continuation_rejected(self):
         m = small_model()
-        enc = m.encode(make_pack([], (2,), (3,)))
+        states, key_valid = m.encode(make_pack([], (2,), (3,)))
         with pytest.raises(ValueError, match="non-empty"):
-            m.sequence_logprob(enc, ())
+            m.sequence_logprob(states, key_valid, ())
         states, key_valid = m.encode_batch([make_pack([], (2,), (3,))])
         with pytest.raises(ValueError, match="non-empty"):
             m.batch_logprobs(states, key_valid, [[]])
@@ -141,7 +141,7 @@ class TestDecode:
         m = small_model()
         m.params["out"].data[:] = 0.0
         enc = m.encode(make_pack([(2,)], (3,), (4,)))
-        lp = m.sequence_logprob(enc, (5, 6, 7)).item()
+        lp = m.sequence_logprob(*enc, (5, 6, 7)).item()
         assert lp == pytest.approx(-3 * math.log(32), abs=1e-9)
 
 
@@ -152,9 +152,9 @@ class TestBatchedPath:
                  make_pack([(9, 10), (11, 12)], (13, 14), (15,))]
         states, key_valid = m.encode_batch(packs)
         for i, pack in enumerate(packs):
-            single = m.encode(pack)
-            assert np.abs(states.data[i] - single.states.data).max() <= 1e-12
-            np.testing.assert_array_equal(key_valid[i], single.key_valid)
+            single, single_valid = m.encode(pack)
+            assert np.abs(states.data[i] - single.data[0]).max() <= 1e-12
+            np.testing.assert_array_equal(key_valid, single_valid)
 
     def test_batch_logprob_matches_single(self):
         """The single-prompt entries and the batched entries run the same
@@ -167,8 +167,9 @@ class TestBatchedPath:
             states, key_valid = m.encode_batch(packs)
             lp = m.batch_logprobs(states, key_valid,
                                   [p.score_tokens for p in packs])
-            singles = [m.sequence_logprob(m.encode(p), p.score_tokens).item()
-                       for p in packs]
+            singles = [
+                m.sequence_logprob(*m.encode(p), p.score_tokens).item()
+                for p in packs]
             assert lp.data.tolist() == singles, (variant, fmt)
             assert tz.tsum(lp).item() == sum(singles), (variant, fmt)
 
@@ -187,7 +188,7 @@ class TestBatchedPath:
         assert np.abs(lp[3:] - lp_r[:3]).max() <= 1e-12
         for i, pack in enumerate(packs):
             for c, cont in enumerate(conts):
-                single = m.sequence_logprob(m.encode(pack), cont).item()
+                single = m.sequence_logprob(*m.encode(pack), cont).item()
                 assert lp[i * 3 + c] == pytest.approx(single, abs=1e-9)
 
     def test_continuations_must_split_over_episodes(self):

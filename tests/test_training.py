@@ -99,7 +99,7 @@ class TestBatchLoss:
             pack = pack_prompt(ep.demos, ep.test, k=cfg.train_k,
                                l_max=cfg.l_max)
             enc = model.encode(pack)
-            cand = [model.sequence_logprob(enc, list(c))
+            cand = [model.sequence_logprob(*enc, list(c))
                     for c in ep.test.options]
             scores = tz.reshape(tz.concat(cand, axis=0), (1, len(cand)))
             gold = np.array([ep.test.options.index(list(ep.test.y))])
@@ -136,8 +136,8 @@ class TestBatchLoss:
         for ep in eps:
             pack = pack_prompt(ep.demos, ep.test, k=cfg.train_k,
                                l_max=cfg.l_max, fmt="channel")
-            nll = tz.scale(model.sequence_logprob(model.encode(pack),
-                                                  pack.score_tokens), -1.0)
+            nll = tz.scale(model.sequence_logprob(*model.encode(pack),
+                                                   pack.score_tokens), -1.0)
             total = nll if total is None else tz.add(total, nll)
         ref = tz.scale(total, 1.0 / len(eps))
         tz.backward(ref)
