@@ -51,6 +51,8 @@ class BenchSpec:
             raise ValueError("lengths must be >= 1 and the k grid >= 0")
         if min(self.heads, self.head_dim) < 1:
             raise ValueError("heads and head_dim must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

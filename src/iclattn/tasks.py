@@ -23,16 +23,24 @@ import numpy as np
 TOKEN_BASE = 2  # first usable token id
 
 
+def _require(**bounds):
+    """ValueError naming the first argument below its minimum; each
+    keyword maps an argument's name to (value, minimum)."""
+    for name, (value, low) in bounds.items():
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 @dataclass
 class TaskExample:
     x: list
     y: list
-    options: list = None  # candidate continuations for classification
+    options: list = None  # candidate continuations (token lists)
 
     def __post_init__(self):
         if len(self.x) == 0 or len(self.y) == 0:
             raise ValueError("x and y must be non-empty")
-        if self.options is not None and list(self.y) not in [list(o) for o in self.options]:
+        if self.options is not None and list(self.y) not in self.options:
             raise ValueError("y must be among the candidate options")
 
 
@@ -57,6 +65,12 @@ class TaskFamily:
     def _episode(self, k, rng):
         raise NotImplementedError
 
+    @staticmethod
+    def _assemble(xs, ys, options):
+        """Episode from k+1 rows of token lists; the last row is the test."""
+        examples = [TaskExample(*row) for row in zip(xs, ys, options)]
+        return Episode(examples[:-1], examples[-1])
+
 
 class LookupFamily(TaskFamily):
     """Each episode fixes a random key -> label mapping. Demonstrations
@@ -69,26 +83,24 @@ class LookupFamily(TaskFamily):
     pool size is a free parameter for harder variants."""
 
     def __init__(self, num_keys=2, arity=4, key_base=TOKEN_BASE, label_base=40):
-        if num_keys < 2 or arity < 2:
-            raise ValueError("need at least 2 keys and 2 labels")
+        _require(num_keys=(num_keys, 2), arity=(arity, 2))
         self.num_keys = num_keys
         self.arity = arity
-        self.keys = list(range(key_base, key_base + num_keys))
+        self.keys = np.arange(key_base, key_base + num_keys)
         self.labels = list(range(label_base, label_base + arity))
-        self.options = [[l] for l in self.labels]
+        self.options = np.array(self.labels)[:, None]  # (arity, 1)
 
     def _episode(self, k, rng):
         kk = min(k, self.num_keys)
         keys = rng.choice(self.keys, size=kk, replace=False)
         if k > kk:  # repeat keys consistently when k exceeds the pool
             keys = np.concatenate([keys, rng.choice(keys, size=k - kk)])
+        keys = keys.tolist()
         mapping = {key: self.labels[rng.integers(self.arity)] for key in set(keys)}
-        demos = [TaskExample([int(key)], [mapping[key]],
-                             [list(o) for o in self.options]) for key in keys]
-        test_key = int(keys[rng.integers(len(keys))])
-        test = TaskExample([test_key], [mapping[test_key]],
-                           [list(o) for o in self.options])
-        return Episode(demos, test)
+        keys.append(keys[rng.integers(k)])  # the test key
+        return self._assemble([[key] for key in keys],
+                              [[mapping[key]] for key in keys],
+                              self.options[None].repeat(k + 1, 0).tolist())
 
 
 class LinearLabelFamily(TaskFamily):
@@ -97,11 +109,12 @@ class LinearLabelFamily(TaskFamily):
 
     def __init__(self, input_range=16, arity=4, input_base=TOKEN_BASE,
                  label_base=40):
+        _require(input_range=(input_range, 1), arity=(arity, 2))
         self.input_range = input_range
         self.arity = arity
         self.input_base = input_base
         self.labels = list(range(label_base, label_base + arity))
-        self.options = [[l] for l in self.labels]
+        self.options = np.array(self.labels)[:, None]  # (arity, 1)
 
     def _label(self, t, a, b):
         return self.labels[(a * t + b) % self.arity]
@@ -110,12 +123,9 @@ class LinearLabelFamily(TaskFamily):
         a = int(rng.integers(1, self.arity))
         b = int(rng.integers(self.arity))
         ts = rng.integers(self.input_range, size=k + 1)
-        examples = [
-            TaskExample([self.input_base + int(t)], [self._label(int(t), a, b)],
-                        [list(o) for o in self.options])
-            for t in ts
-        ]
-        return Episode(examples[:-1], examples[-1])
+        return self._assemble((self.input_base + ts)[:, None].tolist(),
+                              self.options[(a * ts + b) % self.arity].tolist(),
+                              self.options[None].repeat(k + 1, 0).tolist())
 
 
 class CopyOffsetFamily(TaskFamily):
@@ -124,26 +134,21 @@ class CopyOffsetFamily(TaskFamily):
 
     def __init__(self, max_offset=4, seq_len=3, input_range=20,
                  input_base=TOKEN_BASE):
+        _require(max_offset=(max_offset, 1), seq_len=(seq_len, 1),
+                 input_range=(input_range, 1))
         self.max_offset = max_offset
         self.seq_len = seq_len
         self.input_range = input_range
         self.input_base = input_base
 
-    def _apply(self, x, off):
-        return [self.input_base + (t - self.input_base + off) % (self.input_range + self.max_offset)
-                for t in x]
-
     def _episode(self, k, rng):
         off = int(rng.integers(1, self.max_offset + 1))
-
-        def example():
-            x = [self.input_base + int(t)
-                 for t in rng.integers(self.input_range, size=self.seq_len)]
-            opts = [self._apply(x, o) for o in range(1, self.max_offset + 1)]
-            return TaskExample(x, self._apply(x, off), opts)
-
-        demos = [example() for _ in range(k)]
-        return Episode(demos, example())
+        raw = rng.integers(self.input_range, size=(k + 1, self.seq_len))
+        offsets = np.arange(1, self.max_offset + 1)[:, None]
+        opts = self.input_base + (raw[:, None, :] + offsets) % (
+            self.input_range + self.max_offset)  # (k+1, max_offset, seq_len)
+        return self._assemble((self.input_base + raw).tolist(),
+                              opts[:, off - 1].tolist(), opts.tolist())
 
 
 FAMILIES = {

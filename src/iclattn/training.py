@@ -48,6 +48,8 @@ class TrainConfig:
             raise ValueError("warmup_frac must lie in [0, 1)")
         if min(self.steps, self.train_k, self.batch_size, self.l_max) < 1:
             raise ValueError("steps, train_k, batch_size and l_max must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.fmt not in FORMATS:
             raise ValueError(f"unknown prompt format {self.fmt!r}")
         if not 0 < self.lr < np.inf:  # nan fails every comparison

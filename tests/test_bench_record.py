@@ -1,0 +1,34 @@
+"""`tools/bench_record.py` summarizes the two parts of `setup_s`."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
+_SPEC = importlib.util.spec_from_file_location("bench_record", _PATH)
+bench_record = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_record)
+
+
+def _run(pair, side, import_s, repeats):
+    return {"workload": "w", "pair": pair, "side": side,
+            "metrics": {"setup_s": import_s + sorted(repeats)[1]},
+            "setup": {"import_s": import_s, "repeats_s": repeats}}
+
+
+def test_setup_parts_are_summarized_beside_setup_s():
+    runs = []
+    for pair in range(4):
+        runs.append(_run(pair, "base", 0.10 + 0.01 * pair, [0.2, 0.3, 0.1]))
+        runs.append(_run(pair, "change", 0.12, [0.1, 0.05, 0.2]))
+    directions = {"setup_s": ("s", "lower"), **bench_record.SETUP_PARTS}
+    summary = bench_record.summarize(runs, directions)["w"]
+    assert summary["setup_s.import_s"]["base"]["median"] == pytest.approx(0.115)
+    assert summary["setup_s.import_s"]["change"]["median"] == pytest.approx(0.12)
+    assert summary["setup_s.repeat_median_s"]["base"]["median"] == 0.2
+    assert summary["setup_s.repeat_median_s"]["change"]["median"] == 0.1
+    assert summary["setup_s.repeat_median_s"]["wins"] == 4
+    rows = bench_record.table({"summary": {"w": summary}}).splitlines()
+    assert [r.split(" | ")[1] for r in rows[2:]] == [
+        "setup_s", "setup_s.import_s", "setup_s.repeat_median_s"]

@@ -168,9 +168,10 @@ class TestCommands:
         (["--mem-budget-bytes", "0"], None),
         ([], "mem_budget_bytes = nan\n"),
         (["--warmup", "-1"], None),
+        (["--seed", "-1"], None),
     ], ids=["zero_length", "negative_k", "zero_heads", "zero_head_dim",
             "nan_mem_budget", "inf_mem_budget", "zero_mem_budget",
-            "nan_mem_budget_file", "negative_warmup"])
+            "nan_mem_budget_file", "negative_warmup", "negative_seed"])
     def test_bench_spec_usage_error(self, flags, text, tmp_path, capsys,
                                     monkeypatch):
         monkeypatch.setattr(cli.bench_mod, "run_bench", None)
@@ -189,8 +190,11 @@ class TestCommands:
         (["--lr", "inf"], None),
         ([], "grad_clip = nan\n"),
         ([], "grad_clip = inf\n"),
+        (["--seed", "-1"], None),
+        ([], "seed = -1\n"),
     ], ids=["negative_lr", "zero_lr", "negative_grad_clip", "nan_lr",
-            "inf_lr", "nan_grad_clip", "inf_grad_clip"])
+            "inf_lr", "nan_grad_clip", "inf_grad_clip", "negative_seed",
+            "negative_seed_file"])
     def test_train_config_usage_error(self, flags, text, tmp_path, capsys,
                                       monkeypatch):
         monkeypatch.setattr(cli, "EncoderDecoder", None)

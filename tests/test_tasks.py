@@ -1,7 +1,10 @@
+import hashlib
+import json
+
 import pytest
 
-from iclattn.tasks import (LinearLabelFamily, LookupFamily, TaskExample,
-                           make_family)
+from iclattn.tasks import (CopyOffsetFamily, LinearLabelFamily, LookupFamily,
+                           TaskExample, make_family)
 
 
 class TestTaskExample:
@@ -56,8 +59,10 @@ class TestLookupFamily:
         assert ep.test.options == [[40], [41], [42], [43]]
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="num_keys"):
             LookupFamily(num_keys=1)
+        with pytest.raises(ValueError, match="arity"):
+            LookupFamily(arity=1)
         with pytest.raises(ValueError):
             fam = LookupFamily()
             fam.sample_episode(0, 0)
@@ -79,12 +84,76 @@ class TestLinearFamily:
                         consistent.append((a, b))
             assert consistent, seed
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"arity": 1}, "arity"), ({"input_range": 0}, "input_range")])
+    def test_parameter_validation(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            LinearLabelFamily(**kwargs)
+
 
 class TestCopyFamily:
     def test_gold_among_options(self):
+        """Replay oracle of the copy rule: every y is its x shifted by one
+        offset shared across the episode, and the options are x under
+        offsets 1..max_offset, in order."""
         fam = make_family("copy")
-        ep = fam.sample_episode(3, 1)
-        assert list(ep.test.y) in [list(o) for o in ep.test.options]
+        modulus = fam.input_range + fam.max_offset
+
+        def shift(x, off):
+            return [fam.input_base + (t - fam.input_base + off) % modulus
+                    for t in x]
+
+        seen = set()
+        for seed in range(300):
+            ep = fam.sample_episode(1 + seed % 6, seed)
+            examples = ep.demos + [ep.test]
+            off = 1 + examples[0].options.index(examples[0].y)
+            seen.add(off)
+            for ex in examples:
+                assert len(ex.x) == fam.seq_len, seed
+                assert all(0 <= t - fam.input_base < fam.input_range
+                           for t in ex.x), seed
+                assert ex.options == [shift(ex.x, o)
+                                      for o in range(1, fam.max_offset + 1)], seed
+                assert ex.y == shift(ex.x, off), seed
+        assert seen == set(range(1, fam.max_offset + 1))
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"max_offset": 0}, "max_offset"), ({"seq_len": 0}, "seq_len"),
+        ({"input_range": 0}, "input_range")])
+    def test_parameter_validation(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            CopyOffsetFamily(**kwargs)
+
+
+# sha256 of the episodes below as the sampler drew them when this test was
+# written. Criterion 6 and the benchmark train on these streams, so a change
+# that moves them must show here, and must say so.
+STREAM_SHA256 = "df09d39bc62ac21cd91b52895557c057cdc652097af67438b8ce326644999db7"
+
+
+def test_episode_stream_is_stable():
+    rows = []
+    for name, kwargs in [("lookup", {}), ("linear", {}), ("copy", {}),
+                         ("copy", {"seq_len": 8})]:
+        fam = make_family(name, **kwargs)
+        for k in (1, 2, 8, 32):
+            for seed in (0, 1, 12345, 2 ** 63 - 1):
+                ep = fam.sample_episode(k, seed)
+                rows.append([[e.x, e.y, e.options]
+                             for e in ep.demos + [ep.test]])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == STREAM_SHA256
+
+
+def test_examples_own_their_lists():
+    """No list is shared between examples, or between y and options, so
+    editing one example cannot change another."""
+    for name in ("lookup", "linear", "copy"):
+        ep = make_family(name).sample_episode(4, 0)
+        lists = [l for ex in ep.demos + [ep.test]
+                 for l in [ex.x, ex.y, ex.options, *ex.options]]
+        assert len({id(l) for l in lists}) == len(lists), name
 
 
 class TestMakeFamily:

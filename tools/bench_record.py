@@ -3,9 +3,12 @@
 Runs `perfbench/run.py` for ten pairs per workload, alternating which
 side runs first, with a fresh seed per pair, and writes
 `BENCH_<label>.json` at the repository root: every run's end-to-end
-metrics and environment, and per metric each side's median and
-quartiles, the change's wins out of ten and how much worse the change's
-median is. Record before committing the change. Run from anywhere:
+metrics, set-up parts and environment, and per metric each side's median
+and quartiles, the change's wins out of ten and how much worse the
+change's median is. `setup_s` is the interpreter's import time plus the
+median of the run's set-up repeats; both parts are summarized beside it,
+since import time alone moves by tens of milliseconds between runs of
+unchanged code. Record before committing the change. Run from anywhere:
 
     python3 tools/bench_record.py --label mychange
     python3 tools/bench_record.py --table BENCH_mychange.json
@@ -36,6 +39,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 900
 PAIRS = 10
+# The two parts of `setup_s`, summarized after it from each run's setup block.
+SETUP_PARTS = {"setup_s.import_s": ("s", "lower"),
+               "setup_s.repeat_median_s": ("s", "lower")}
 
 
 def git(*args):
@@ -71,6 +77,15 @@ def quartiles(xs):
     return {"median": med, "q1": q1, "q3": q3}
 
 
+def run_value(run, name):
+    """A run's end-to-end metric `name`, or one of `SETUP_PARTS`."""
+    if name == "setup_s.import_s":
+        return run["setup"]["import_s"]
+    if name == "setup_s.repeat_median_s":
+        return statistics.median(run["setup"]["repeats_s"])
+    return run["metrics"][name]
+
+
 def summarize(runs, directions):
     """Per workload and metric: each side's median and quartiles, wins
     (ties count for neither side) and the change's "worse by"."""
@@ -84,8 +99,8 @@ def summarize(runs, directions):
         out[wl] = {}
         for name, (unit, better) in directions.items():
             sign = 1 if better == "lower" else -1
-            base = [p["base"]["metrics"][name] for p in pairs]
-            change = [p["change"]["metrics"][name] for p in pairs]
+            base = [run_value(p["base"], name) for p in pairs]
+            change = [run_value(p["change"], name) for p in pairs]
             wins = sum(sign * (c - b) < 0 for b, c in zip(base, change))
             sb, sc = quartiles(base), quartiles(change)
             out[wl][name] = {
@@ -113,8 +128,11 @@ def table(record):
 
 def record(args):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    directions = {m["name"]: (m["unit"], m["better"])
-                  for m in spec["end_to_end"]}
+    directions = {}
+    for m in spec["end_to_end"]:
+        directions[m["name"]] = (m["unit"], m["better"])
+        if m["name"] == "setup_s":
+            directions.update(SETUP_PARTS)
     workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
     base_commit = git("rev-parse", "HEAD").strip()
@@ -140,6 +158,7 @@ def record(args):
                         "metrics": {k: v["value"]
                                     for k, v in result["metrics"].items()},
                         "ops": report["samples"]["ops"],
+                        "setup": report["setup"],
                         "environment": report["environment"],
                     })
                     print(f"{wl} pair {i} seed {seed} {side}: "
