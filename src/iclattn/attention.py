@@ -1,21 +1,23 @@
-"""The two encoder attention implementations.
+"""The two encoder attention implementations, over one softmax-attention
+core.
 
-`full_attention` is plain dense masked attention. `structured_attention`
-computes the same result for the segmented mask without ever
-materializing the (k+1)L x (k+1)L score matrix: demonstration rows take
-a softmax over [own block || test block], test rows over the full
-sequence, so peak score storage stays O(k L^2).
-
-Each call is a single tape node with a hand-derived backward (the
-recompute-free form of FlashAttention's, without the tiling): with
+`_forward` computes softmax(q k^T / sqrt(d) + mask + bias) v and
+`_backward` its gradients, in the recompute-free form of
+FlashAttention's backward (Dao et al. 2022), without the tiling: with
 probabilities P and output gradient dZ,
 
     dV = P^T dZ,   dP = dZ V^T,   dS = P * (dP - rowsum(dP * P)),
-    dQ = dS K / sqrt(d),   dK = dS^T Q / sqrt(d),   dbias = dS,
+    dQ = dS K / sqrt(d),   dK = dS^T Q / sqrt(d),   dbias = dS.
 
-where the structured node sums dbias over every segment diagonal. The
-backward writes into arrays it allocates once per call, in the dtype of
-the queries.
+`full_attention` is plain dense masked attention: the core around one
+tape node. `structured_attention` computes the same result for the
+segmented mask without ever materializing the (k+1)L x (k+1)L score
+matrix. It is one tape node that runs the core twice on re-blocked
+inputs: demonstration rows as a batch of k softmaxes over
+[own block || test block] keys, test rows as one softmax over the whole
+sequence, so peak score storage stays O(k L^2). Its backward folds the
+block gradients back onto the sequence and sums the bias gradient over
+every segment diagonal.
 `dense_structured_reference` composes the same computation from
 primitive tape ops, so it stays an independent oracle for both nodes.
 
@@ -34,60 +36,59 @@ from .tensor import add, constant, contract, scale, softmax_last
 VARIANTS = ("full", "structured")
 
 
-def _softmax_grad_inplace(dp, p):
-    """dS = P * (dP - rowsum(dP * P)), written over `dp`."""
-    dp -= np.einsum("...r,...r->...", dp, p)[..., None]
-    dp *= p
-    return dp
-
-
-def _dense_node(q, k, v, mask_values, bias):
-    """softmax(q k^T / sqrt(d) + mask + bias) v as one tape node."""
-    c = q.data.shape[-1] ** -0.5
-    qs = q.data * c
-    kd, vd = k.data, v.data
-    s = np.matmul(qs, kd.swapaxes(-1, -2))
-    if mask_values is not None:
-        s += np.asarray(mask_values, dtype=s.dtype)
+def _forward(qs, k, v, mask, bias):
+    """(z, p) for z = p v, p = softmax(qs k^T + mask + bias), with the
+    queries `qs` already scaled by 1/sqrt(d). `mask` and `bias` are
+    arrays broadcastable to the scores, or None."""
+    s = np.matmul(qs, k.swapaxes(-1, -2))
+    if mask is not None:
+        s += np.asarray(mask, dtype=s.dtype)
     if bias is not None:
-        s += bias.data
+        s += bias
     p = tz._softmax_inplace(s)
-    z = np.matmul(p, vd)
+    return np.matmul(p, v), p
 
-    def back(g):
-        if tz._tracked(v):
-            tz._accumulate(v, np.matmul(p.swapaxes(-1, -2), g))
-        need_q, need_k = tz._tracked(q), tz._tracked(k)
-        need_bias = bias is not None and tz._tracked(bias)
-        if not (need_q or need_k or need_bias):
-            return
-        ds = _softmax_grad_inplace(np.matmul(g, vd.swapaxes(-1, -2)), p)
-        if need_q:
-            dq = np.matmul(ds, kd)
-            dq *= c
-            tz._accumulate(q, dq)
-        if need_k:
-            tz._accumulate(k, np.matmul(ds.swapaxes(-1, -2), qs))
-        if need_bias:
-            tz._accumulate(bias, tz._unbroadcast(ds, bias.data.shape))
 
-    parents = (q, k, v) if bias is None else (q, k, v, bias)
-    return tz._result(z, parents, back)
+def _backward(g, qs, k, v, p):
+    """(dq, dk, dv, dS) of `_forward`'s output at output gradient `g`: dq
+    with respect to the unscaled queries, dS the gradient of the scores
+    and so of the bias."""
+    dv = np.matmul(p.swapaxes(-1, -2), g)
+    ds = np.matmul(g, v.swapaxes(-1, -2))
+    ds -= np.einsum("...r,...r->...", ds, p)[..., None]
+    ds *= p
+    dq = np.matmul(ds, k)
+    dq *= qs.shape[-1] ** -0.5
+    return dq, np.matmul(ds.swapaxes(-1, -2), qs), dv, ds
 
 
 def full_attention(q, k, v, mask, bias=None):
-    """z = softmax(q k^T + bias + mask) v, per head.
+    """z = softmax(q k^T + bias + mask) v, per head, as one tape node.
 
     q: (..., Tq, d); k, v: (..., Tk, d), with any leading axes, such as
     (B, H). mask: additive array broadcastable to (..., Tq, Tk), or None.
     bias: tensor broadcastable to (..., Tq, Tk), such as a shared
     (H, Tq, Tk), or None. One dense score matrix, no blocks.
     """
-    return _dense_node(q, k, v, mask, bias)
+    qs = q.data * q.data.shape[-1] ** -0.5
+    z, p = _forward(qs, k.data, v.data, mask,
+                    None if bias is None else bias.data)
+
+    def back(g):
+        dq, dk, dv, ds = _backward(g, qs, k.data, v.data, p)
+        tz._accumulate(v, dv)
+        tz._accumulate(q, dq)
+        tz._accumulate(k, dk)
+        if bias is not None:
+            tz._accumulate(bias, tz._unbroadcast(ds, bias.data.shape))
+
+    parents = (q, k, v) if bias is None else (q, k, v, bias)
+    return tz._result(z, parents, back)
 
 
 def structured_attention(q, k, v, layout, bias_block=None):
-    """Block-structured attention over a segmented prompt.
+    """Block-structured attention over a segmented prompt, as one tape
+    node.
 
     q, k, v: (..., (k+1)*L, d), with any leading axes, such as (B, H).
     Demonstration-segment rows normalize over the concatenation of their
@@ -102,84 +103,51 @@ def structured_attention(q, k, v, layout, bias_block=None):
     if T != layout.total_length:
         raise ValueError(
             f"sequence length {T} does not split into {K + 1} segments of {L}")
-    key_mask = layout.key_mask().astype(q.data.dtype)  # (T,)
-    if K == 0:
-        return _dense_node(q, k, v, key_mask, bias_block)
-
     KL = K * L
-    blocks = (*lead, K, L, d)
-    c = d ** -0.5
-    qs = q.data * c
-    kd, vd = k.data, v.data
-    qdf, qt = qs[..., :KL, :], qs[..., KL:, :]  # (..., KL, d), (..., L, d)
-    qd = qdf.reshape(blocks)
-    kdem, kt = kd[..., :KL, :].reshape(blocks), kd[..., KL:, :]
-    vdem, vt = vd[..., :KL, :].reshape(blocks), vd[..., KL:, :]
+    key_mask = layout.key_mask().astype(q.data.dtype)           # (T,)
     block_mask = key_mask.reshape(K + 1, L)
-    bias = None if bias_block is None else bias_block.data
+    demo_mask = np.concatenate(
+        [block_mask[:K], np.broadcast_to(block_mask[K], (K, L))],
+        axis=-1)[:, None, :]                                    # (K, 1, 2L)
+    demo_bias = test_bias = None
+    if bias_block is not None:
+        b = bias_block.data
+        demo_bias = np.zeros((*b.shape[:-2], L, 2 * L), dtype=b.dtype)
+        demo_bias[..., :L] = b
+        demo_bias = demo_bias[..., None, :, :]          # over the K blocks
+        test_bias = np.zeros((*b.shape[:-2], L, T), dtype=b.dtype)
+        test_bias[..., KL:] = b
 
-    # demonstration rows: [own diagonal block || test block]
-    dtype = q.data.dtype
-    sd = np.empty((*lead, K, L, 2 * L), dtype=dtype)
-    np.matmul(qd, kdem.swapaxes(-1, -2), out=sd[..., :L])
-    sd[..., :L] += block_mask[:K, None, :]
-    if bias is not None:
-        sd[..., :L] += bias[..., None, :, :]
-    sd[..., L:] = np.matmul(qdf, kt.swapaxes(-1, -2)).reshape(
-        *lead, K, L, L)
-    sd[..., L:] += block_mask[K]
-    pd = tz._softmax_inplace(sd)
-    pdd, pdt = pd[..., :L], pd[..., L:].reshape(*lead, KL, L)
+    def blocks(x):
+        """(..., K, 2L, d): each demonstration's [own block || test block]."""
+        own = x[..., :KL, :].reshape(*lead, K, L, d)
+        test = np.broadcast_to(x[..., None, KL:, :], own.shape)
+        return np.concatenate([own, test], axis=-2)
 
-    # test rows: global attention over the whole sequence
-    st = np.matmul(qt, kd.swapaxes(-1, -2))     # (..., L, T)
-    st += key_mask
-    if bias is not None:
-        st[..., KL:] += bias
-    pt = tz._softmax_inplace(st)
-
-    z = np.empty((*lead, T, d), dtype=dtype)
-    np.matmul(pdd, vdem, out=z[..., :KL, :].reshape(blocks))
-    z[..., :KL, :] += np.matmul(pdt, vt)
-    np.matmul(pt, vd, out=z[..., KL:, :])
+    qs = q.data * d ** -0.5
+    qd, qt = qs[..., :KL, :].reshape(*lead, K, L, d), qs[..., KL:, :]
+    kd, vd = k.data, v.data
+    zd, pd = _forward(qd, blocks(kd), blocks(vd), demo_mask, demo_bias)
+    zt, pt = _forward(qt, kd, vd, key_mask, test_bias)
+    z = np.concatenate([zd.reshape(*lead, KL, d), zt], axis=-2)
 
     def back(g):
-        gdf, gt = g[..., :KL, :], g[..., KL:, :]
-        gd = gdf.reshape(blocks)
-        if tz._tracked(v):
-            dv = np.matmul(pt.swapaxes(-1, -2), gt)            # (..., T, d)
-            dv_diag = dv[..., :KL, :].reshape(blocks)
-            dv_diag += np.matmul(pdd.swapaxes(-1, -2), gd)
-            dv[..., KL:, :] += np.matmul(pdt.swapaxes(-1, -2), gdf)
-            tz._accumulate(v, dv)
-        need_q, need_k = tz._tracked(q), tz._tracked(k)
-        need_bias = bias_block is not None and tz._tracked(bias_block)
-        if not (need_q or need_k or need_bias):
-            return
-        dst = _softmax_grad_inplace(np.matmul(gt, vd.swapaxes(-1, -2)), pt)
-        dsd = np.empty((*lead, K, L, 2 * L), dtype=dtype)
-        np.matmul(gd, vdem.swapaxes(-1, -2), out=dsd[..., :L])
-        dsd[..., L:] = np.matmul(gdf, vt.swapaxes(-1, -2)).reshape(
-            *lead, K, L, L)
-        _softmax_grad_inplace(dsd, pd)
-        dsdd, dsdt = dsd[..., :L], dsd[..., L:].reshape(*lead, KL, L)
-        if need_q:
-            dq = np.empty((*lead, T, d), dtype=dtype)
-            np.matmul(dsdd, kdem, out=dq[..., :KL, :].reshape(blocks))
-            dq[..., :KL, :] += np.matmul(dsdt, kt)
-            np.matmul(dst, kd, out=dq[..., KL:, :])
-            dq *= c
-            tz._accumulate(q, dq)
-        if need_k:
-            dk = np.matmul(dst.swapaxes(-1, -2), qt)           # (..., T, d)
-            dk_diag = dk[..., :KL, :].reshape(blocks)
-            dk_diag += np.matmul(dsdd.swapaxes(-1, -2), qd)
-            dk[..., KL:, :] += np.matmul(dsdt.swapaxes(-1, -2), qdf)
-            tz._accumulate(k, dk)
-        if need_bias:
-            db = dsdd.sum(axis=-3)
+        # blocks rebuilt rather than kept on the tape: lower peak memory
+        dqd, dkb, dvb, dsd = _backward(g[..., :KL, :].reshape(*lead, K, L, d),
+                                       qd, blocks(kd), blocks(vd), pd)
+        dqt, dk, dv, dst = _backward(g[..., KL:, :], qt, kd, vd, pt)
+        for full, block in ((dk, dkb), (dv, dvb)):
+            full[..., :KL, :] += block[..., :L, :].reshape(*lead, KL, d)
+            full[..., KL:, :] += block[..., L:, :].sum(axis=-3)
+        tz._accumulate(v, dv)
+        tz._accumulate(q, np.concatenate([dqd.reshape(*lead, KL, d), dqt],
+                                         axis=-2))
+        tz._accumulate(k, dk)
+        if bias_block is not None:
+            db = dsd[..., :L].sum(axis=-3)
             db += dst[..., KL:]
-            tz._accumulate(bias_block, tz._unbroadcast(db, bias.shape))
+            tz._accumulate(bias_block,
+                           tz._unbroadcast(db, bias_block.data.shape))
 
     parents = (q, k, v) if bias_block is None else (q, k, v, bias_block)
     return tz._result(z, parents, back)

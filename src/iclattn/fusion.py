@@ -45,7 +45,6 @@ class PromptPack:
     test_segment: tuple
     score_tokens: tuple
     format: str
-    provenance: tuple           # admitted demo indices, in admission order
 
     def __post_init__(self):
         if self.format not in FORMATS:
@@ -117,17 +116,15 @@ def pack_prompt(demos, test, k, l_max, fmt="direct"):
     if len(test_seg) > budget:
         raise PackingError(
             f"test input alone ({len(test_seg)} tokens) exceeds the {budget}-token budget")
-    admitted, provenance = [], []
+    admitted = []
     total = len(test_seg)
-    for i, demo in enumerate(demos):
+    for demo in demos:
         seg = _demo_tokens(demo, fmt)[:l_max]
         if len(admitted) + 1 > k or total + len(seg) > budget:
             break
         admitted.append(tuple(seg))
-        provenance.append(i)
         total += len(seg)
-    return PromptPack(tuple(admitted), tuple(test_seg), tuple(score),
-                      fmt, tuple(provenance))
+    return PromptPack(tuple(admitted), tuple(test_seg), tuple(score), fmt)
 
 
 def split_groups(n, groups):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import attention as attn
 from . import tensor as tz
-from .segments import MASK_VALUE, RelativeBiasTable
+from .segments import MASK_VALUE, RelativeBiasTable, check_buckets
 from .tensor import Tensor
 
 PAD_ID = 0
@@ -67,6 +67,8 @@ class ModelConfig:
             raise ValueError("d_model must be divisible by heads")
         if self.variant not in attn.VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        for bidirectional in (True, False):     # encoder and decoder tables
+            check_buckets(self.num_buckets, self.max_distance, bidirectional)
 
     @property
     def head_dim(self):

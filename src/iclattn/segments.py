@@ -100,6 +100,19 @@ def build_full_mask(layout):
     return np.where(allowed, 0.0, MASK_VALUE)
 
 
+def check_buckets(num_buckets, max_distance, bidirectional=True):
+    """Raise ValueError unless `relative_bucket` can serve these settings:
+    an even count in bidirectional mode, at least one exact bucket per
+    direction, and a max_distance past the exact buckets."""
+    if bidirectional and num_buckets % 2 != 0:
+        raise ValueError("num_buckets must be even in bidirectional mode")
+    half = num_buckets // 2 if bidirectional else num_buckets
+    if half // 2 < 1:
+        raise ValueError(f"num_buckets {num_buckets} leaves no exact bucket")
+    if max_distance <= num_buckets // 2:
+        raise ValueError("max_distance must exceed num_buckets / 2")
+
+
 def relative_bucket(delta, num_buckets=32, max_distance=128, bidirectional=True):
     """Map a signed offset (query position minus key position) to a
     bucket index, T5 style: exact buckets for small offsets, log-spaced
@@ -107,10 +120,7 @@ def relative_bucket(delta, num_buckets=32, max_distance=128, bidirectional=True)
 
     Accepts scalars or integer arrays.
     """
-    if bidirectional and num_buckets % 2 != 0:
-        raise ValueError("num_buckets must be even in bidirectional mode")
-    if max_distance <= num_buckets // 2:
-        raise ValueError("max_distance must exceed num_buckets / 2")
+    check_buckets(num_buckets, max_distance, bidirectional)
     delta = np.asarray(delta, dtype=np.int64)
     bucket = np.zeros_like(delta)
     if bidirectional:

@@ -222,6 +222,30 @@ class TestFusedNodes:
         assert verify.permutation_gap(layout, prompts, perm, seed) \
             <= verify.FUSED_ORACLE_TOL
 
+    @pytest.mark.parametrize("tracked", [{"q"}, {"k", "v"}, {"bias"}],
+                             ids=["q", "kv", "bias"])
+    def test_partially_tracked_inputs(self, tracked):
+        """With only some of q, k, v and the bias table tracked, both nodes
+        give the tracked ones the oracle's gradients and leave the other
+        `.grad`s None, on every FUSED_CASES layout."""
+        names = ("q", "k", "v", "bias")
+        for _, layout, prompts in verify.FUSED_CASES:
+            for i in range(2):
+                tensors, nodes, oracle = verify._fused_setup(layout, prompts,
+                                                             seed=17)
+                want = verify._value_and_grads(oracle, tensors)[1:]
+                for name, t in zip(names, tensors):
+                    t.requires_grad = name in tracked
+                    t.grad = None
+                out = nodes[i]()
+                backward(tsum(mul(out, out)))
+                for name, t, w in zip(names, tensors, want):
+                    if name in tracked:
+                        assert np.max(np.abs(t.grad - w)) \
+                            <= verify.FUSED_ORACLE_TOL, (name, layout)
+                    else:
+                        assert t.grad is None, (name, layout)
+
     def test_float32_nodes_match_float64_oracle(self):
         """Every FUSED_CASES layout with float32 inputs: float32 outputs
         and gradients within FUSED_FLOAT32_TOL of the float64 oracle."""

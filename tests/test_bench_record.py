@@ -32,3 +32,21 @@ def test_setup_parts_are_summarized_beside_setup_s():
     rows = bench_record.table({"summary": {"w": summary}}).splitlines()
     assert [r.split(" | ")[1] for r in rows[2:]] == [
         "setup_s", "setup_s.import_s", "setup_s.repeat_median_s"]
+
+
+def test_table_prints_the_base_quartile_spread():
+    """The last column is the base side's q3 - q1, absolute and over its
+    median, as the recorded tables in `CHANGES.md` quote it."""
+    runs = []
+    for pair, (b, c) in enumerate([(10.0, 9.0), (12.0, 9.5), (14.0, 10.0),
+                                   (16.0, 10.5), (18.0, 11.0)]):
+        runs.append({"workload": "w", "pair": pair, "side": "base",
+                     "metrics": {"op_ms_p90": b}})
+        runs.append({"workload": "w", "pair": pair, "side": "change",
+                     "metrics": {"op_ms_p90": c}})
+    summary = bench_record.summarize(runs, {"op_ms_p90": ("ms", "lower")})
+    header, _, row = bench_record.table({"summary": summary}).splitlines()
+    assert header.split(" | ")[-1] == "base quartile spread |"
+    # base quartiles 12 and 16 around a median of 14
+    assert row.split(" | ")[-1] == "4 (28.6%) |"
+    assert row.split(" | ")[4:6] == ["-28.6%", "5/5"]

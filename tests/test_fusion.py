@@ -33,7 +33,7 @@ def small_model(variant="structured", seed=0):
 class TestPromptPack:
     def test_rejects_bad_format(self):
         with pytest.raises(ValueError):
-            PromptPack(((2,),), (3,), (4,), "both", (0,))
+            PromptPack(((2,),), (3,), (4,), "both")
 
 
 class TestPackPrompt:
@@ -43,7 +43,6 @@ class TestPackPrompt:
         demos = make_demos(16, 100)
         pack = pack_prompt(demos, demo([40], [41]), k=16, l_max=128)
         assert pack.num_demos == 10
-        assert pack.provenance == tuple(range(10))
         assert 16 // 4 <= pack.num_demos <= 16
 
     def test_small_demos_all_admitted(self):
@@ -76,13 +75,6 @@ class TestPackPrompt:
         assert pack.demo_segments[0] == (4, 2, 3)   # y_i then x_i
         assert pack.test_segment == (6,)            # y_test in the prompt
         assert pack.score_tokens == (5,)            # x_test is scored
-
-    def test_round_trip_provenance(self):
-        demos = make_demos(6, 100)
-        pack = pack_prompt(demos, demo([40], [41]), k=4, l_max=128)
-        recovered = [demos[i] for i in pack.provenance]
-        for seg, d in zip(pack.demo_segments, recovered):
-            assert list(seg) == list(d.x) + list(d.y)
 
     @given(
         k=st.integers(1, 32),

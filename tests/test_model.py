@@ -18,7 +18,7 @@ from iclattn.training import Adam, TrainConfig, sample_batch, train_step
 
 def make_pack(demos, test, score, fmt="direct"):
     return PromptPack(tuple(tuple(d) for d in demos), tuple(test),
-                      tuple(score), fmt, tuple(range(len(demos))))
+                      tuple(score), fmt)
 
 
 def small_model(variant="structured", seed=0, **kw):
@@ -38,6 +38,15 @@ class TestConfig:
     def test_rejects_unknown_variant(self):
         with pytest.raises(ValueError):
             ModelConfig(variant="sparse")
+
+    @pytest.mark.parametrize("kw,match", [
+        ({"num_buckets": 63}, "even"),
+        ({"max_distance": 32}, "max_distance"),
+        ({"num_buckets": 2, "max_distance": 2}, "no exact bucket"),
+    ], ids=["odd_buckets", "short_distance", "two_buckets"])
+    def test_rejects_buckets_the_bias_table_cannot_serve(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            ModelConfig(**kw)
 
 
 class TestEncode:
@@ -293,6 +302,22 @@ class TestCheckpoint:
             **h, "config": {**h["config"], "heads": 3}})
 
     @classmethod
+    def _odd_buckets(cls, arrays):
+        cls._edit_header(arrays, lambda h: {
+            **h, "config": {**h["config"], "num_buckets": 63}})
+
+    @classmethod
+    def _short_distance(cls, arrays):
+        cls._edit_header(arrays, lambda h: {
+            **h, "config": {**h["config"], "max_distance": 32}})
+
+    @classmethod
+    def _two_buckets(cls, arrays):
+        cls._edit_header(arrays, lambda h: {
+            **h, "config": {**h["config"], "num_buckets": 2,
+                            "max_distance": 2}})
+
+    @classmethod
     def _float_vocab(cls, arrays):
         cls._edit_header(arrays, lambda h: {
             **h, "config": {**h["config"], "vocab": 32.5}})
@@ -340,6 +365,9 @@ class TestCheckpoint:
         ("_file_npy", "not a checkpoint archive"),
         ("_unknown_field", "bad checkpoint config.*width"),
         ("_rejected_config", "bad checkpoint config.*divisible by heads"),
+        ("_odd_buckets", "bad checkpoint config.*even"),
+        ("_short_distance", "bad checkpoint config.*max_distance"),
+        ("_two_buckets", "bad checkpoint config.*no exact bucket"),
         ("_float_vocab", "bad checkpoint config.*integers"),
         ("_float_enc_layers", "bad checkpoint config.*integers"),
         ("_no_config", "bad checkpoint config.*'config'"),
@@ -347,7 +375,8 @@ class TestCheckpoint:
         ("_header_not_json", "unreadable checkpoint header"),
     ], ids=["missing", "wrong_shape", "nan", "extra", "truncated",
             "not_an_archive", "bare_npy", "unknown_config_field",
-            "rejected_config", "float_vocab", "float_enc_layers",
+            "rejected_config", "odd_buckets", "short_distance",
+            "two_buckets", "float_vocab", "float_enc_layers",
             "no_config", "list_header", "not_json"])
     def test_untrustworthy_checkpoint_raises(self, tmp_path, edit, match):
         path = tmp_path / "ckpt.npz"

@@ -143,6 +143,11 @@ class TestRelativeBucket:
             relative_bucket(1, num_buckets=31)
         with pytest.raises(ValueError):
             relative_bucket(1, num_buckets=32, max_distance=10)
+        with pytest.raises(ValueError, match="no exact bucket"):
+            relative_bucket(1, num_buckets=2, max_distance=2)
+        with pytest.raises(ValueError, match="no exact bucket"):
+            relative_bucket(1, num_buckets=1, max_distance=2,
+                            bidirectional=False)
 
 
 class TestBiasForLayout:

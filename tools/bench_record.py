@@ -5,7 +5,8 @@ side runs first, with a fresh seed per pair, and writes
 `BENCH_<label>.json` at the repository root: every run's end-to-end
 metrics, set-up parts and environment, and per metric each side's median
 and quartiles, the change's wins out of ten and how much worse the
-change's median is. `setup_s` is the interpreter's import time plus the
+change's median is. The table it prints, also from a recorded file
+with `--table`, adds the base side's quartile spread. `setup_s` is the interpreter's import time plus the
 median of the run's set-up repeats; both parts are summarized beside it,
 since import time alone moves by tens of milliseconds between runs of
 unchanged code. Record before committing the change. Run from anywhere:
@@ -114,15 +115,21 @@ def summarize(runs, directions):
 
 
 def table(record):
-    """The markdown table that `CHANGES.md` quotes."""
-    rows = ["| workload | metric | base | change | worse by | change wins |",
-            "| --- | --- | --- | --- | --- | --- |"]
+    """The markdown table that `CHANGES.md` quotes. The last column is the
+    base side's quartile spread, absolute and over its median: a claimed
+    gain must move the median by more than it."""
+    rows = ["| workload | metric | base | change | worse by | change wins "
+            "| base quartile spread |",
+            "| --- | --- | --- | --- | --- | --- | --- |"]
     for wl, metrics in record["summary"].items():
         for name, m in metrics.items():
             cell = [f"{m[s]['median']:.5g} [{m[s]['q1']:.5g}-{m[s]['q3']:.5g}]"
                     for s in ("base", "change")]
+            base = m["base"]
+            spread = base["q3"] - base["q1"]
             rows.append(f"| {wl} | {name} | {cell[0]} | {cell[1]} | "
-                        f"{m['worse_by']:+.1%} | {m['wins']}/{m['pairs']} |")
+                        f"{m['worse_by']:+.1%} | {m['wins']}/{m['pairs']} | "
+                        f"{spread:.4g} ({spread / base['median']:.1%}) |")
     return "\n".join(rows)
 
 
