@@ -48,11 +48,8 @@ class SegmentLayout:
 
     def key_valid(self):
         """Boolean (total_length,) array: True at non-padding positions."""
-        L = self.segment_length
-        out = np.zeros(self.total_length, dtype=bool)
-        for s, v in enumerate(self.valid):
-            out[s * L:s * L + v] = True
-        return out
+        return (np.arange(self.segment_length)
+                < np.asarray(self.valid)[:, None]).reshape(-1)
 
     def key_mask(self):
         """(total_length,) additive mask blocking padding keys."""

@@ -319,18 +319,20 @@ def merge_heads(z):
     return _result(data, (z,), back)
 
 
-def _softmax_inplace(s):
-    """Softmax along the last axis of float array `s`, written over it.
-    Rows consisting entirely of mask values become all zeros instead of
-    NaN. Shared by `softmax_last` and the fused attention nodes."""
+def _softmax_inplace(s, axis=-1):
+    """Softmax along `axis` of float array `s`, written over it. Rows
+    consisting entirely of mask values become all zeros instead of NaN.
+    Shared by `softmax_last` and the fused attention nodes."""
     m = (np.ascontiguousarray(np.moveaxis(s, -1, 0)).max(axis=0)[..., None]
-         if s.shape[-1] <= _SHORT_ROW else s.max(axis=-1, keepdims=True))
+         if axis == -1 and s.shape[-1] <= _SHORT_ROW
+         else s.max(axis=axis, keepdims=True))
     # max propagates NaN, so the row maxima stand in for a full scan
     if np.isnan(m).any():
         raise ValueError("softmax_last: NaN in input")
     np.subtract(s, m, out=s)
     np.exp(s, out=s)
-    s /= np.einsum("...i->...", s)[..., None]
+    s /= (np.einsum("...i->...", s)[..., None] if axis == -1
+          else s.sum(axis=axis, keepdims=True))
     dead = m <= _MASKED_ROW_THRESHOLD
     if dead.any():
         np.copyto(s, 0.0, where=dead)

@@ -252,6 +252,19 @@ class TestFusedNodes:
         ok, worst = verify.attention_float32()
         assert ok, worst
 
+    def test_benchmark_size_layout_matches_oracle(self):
+        """Both nodes at the `train-long` benchmark's size, k=32 and L=16
+        over two prompts, with a ragged test segment and two ragged
+        demonstrations: output and every gradient within the float64 and
+        float32 tolerances. It reaches the structured node's K*L-long
+        key-major rows and its sums over 32 blocks, which the small
+        random layouts do not."""
+        layout = SegmentLayout(32, 16, (16,) * 15 + (5,) + (16,) * 15
+                               + (11, 9))
+        gap, gap32 = verify.fused_gaps(layout, 2, seed=18)
+        assert gap <= verify.FUSED_ORACLE_TOL
+        assert gap32 <= verify.FUSED_FLOAT32_TOL
+
     def test_one_tape_node_per_call(self):
         rng = np.random.default_rng(14)
         layout = SegmentLayout(3, 2, (2, 1, 2, 2))

@@ -1,4 +1,5 @@
-"""`tools/bench_record.py` summarizes the two parts of `setup_s`."""
+"""`tools/bench_record.py` summarizes `setup_s`, its two parts and the
+tier-1 wall times."""
 
 import importlib.util
 from pathlib import Path
@@ -50,3 +51,37 @@ def test_table_prints_the_base_quartile_spread():
     # base quartiles 12 and 16 around a median of 14
     assert row.split(" | ")[-1] == "4 (28.6%) |"
     assert row.split(" | ")[4:6] == ["-28.6%", "5/5"]
+
+
+def test_table_prints_the_tier1_wall_times():
+    """A record with tier-1 runs gets one `tier-1` row after the metric
+    rows: each side's wall time and how much slower the change ran. Older
+    records without them print no such row."""
+    runs = [{"workload": "w", "pair": pair, "side": side,
+             "metrics": {"op_ms_p90": 10.0}}
+            for pair in range(2) for side in ("base", "change")]
+    summary = bench_record.summarize(runs, {"op_ms_p90": ("ms", "lower")})
+    record = {"summary": summary,
+              "tier1": {"command": "PYTHONPATH=src python -m pytest -q",
+                        "base": {"wall_s": 120.0, "exit": 0,
+                                 "summary": "378 passed in 119.80s"},
+                        "change": {"wall_s": 114.04, "exit": 0,
+                                   "summary": "379 passed in 113.90s"}}}
+    rows = bench_record.table(record).splitlines()
+    assert rows[-1] == "| tier-1 | wall_s | 120.0 | 114.0 | -5.0% | - | - |"
+    del record["tier1"]
+    assert "tier-1" not in bench_record.table(record)
+
+
+def test_run_tier1_records_wall_time_exit_and_summary(tmp_path):
+    """`run_tier1` runs pytest from the tree's root with `src` on the
+    path, and keeps the exit code and the summary line."""
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "probe_pkg.py").write_text("VALUE = 3\n")
+    (tmp_path / "test_probe.py").write_text(
+        "import probe_pkg\n\n\ndef test_value():\n"
+        "    assert probe_pkg.VALUE == 3\n")
+    got = bench_record.run_tier1(tmp_path)
+    assert got["exit"] == 0
+    assert got["summary"].startswith("1 passed")
+    assert got["wall_s"] > 0

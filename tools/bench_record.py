@@ -9,7 +9,10 @@ change's median is. The table it prints, also from a recorded file
 with `--table`, adds the base side's quartile spread. `setup_s` is the interpreter's import time plus the
 median of the run's set-up repeats; both parts are summarized beside it,
 since import time alone moves by tens of milliseconds between runs of
-unchanged code. Record before committing the change. Run from anywhere:
+unchanged code. After the pairs, it runs the tier-1 test command once in
+each tree and records both wall times and pytest's summary lines; the
+table adds them as a `tier-1` row. Record before committing the change.
+Run from anywhere:
 
     python3 tools/bench_record.py --label mychange
     python3 tools/bench_record.py --table BENCH_mychange.json
@@ -30,11 +33,13 @@ import argparse
 import datetime
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,6 +48,9 @@ PAIRS = 10
 # The two parts of `setup_s`, summarized after it from each run's setup block.
 SETUP_PARTS = {"setup_s.import_s": ("s", "lower"),
                "setup_s.repeat_median_s": ("s", "lower")}
+# The tier-1 test command, run from a tree's root with `src` on PYTHONPATH.
+TIER1_ARGS = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+TIER1_TIMEOUT_S = 1800
 
 
 def git(*args):
@@ -71,6 +79,21 @@ def run_once(tree, workload, seed, seconds):
         raise RuntimeError(f"{tree}: {workload} seed {seed} exited "
                            f"{done.returncode}: {done.stderr.strip()[-500:]}")
     return json.loads(reports[-1][len("report "):]), json.loads(lines[-1])
+
+
+def run_tier1(tree):
+    """The tier-1 command once in `tree`: its wall time, exit code and
+    pytest's last line (the pass/fail summary)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        ["src"] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, *TIER1_ARGS], cwd=tree, env=env,
+                          capture_output=True, text=True,
+                          timeout=TIER1_TIMEOUT_S)
+    lines = done.stdout.strip().splitlines()
+    return {"wall_s": time.perf_counter() - start, "exit": done.returncode,
+            "summary": lines[-1] if lines else ""}
 
 
 def quartiles(xs):
@@ -130,6 +153,11 @@ def table(record):
             rows.append(f"| {wl} | {name} | {cell[0]} | {cell[1]} | "
                         f"{m['worse_by']:+.1%} | {m['wins']}/{m['pairs']} | "
                         f"{spread:.4g} ({spread / base['median']:.1%}) |")
+    if "tier1" in record:       # one run per side: no wins, no spread
+        t = record["tier1"]
+        base, change = t["base"]["wall_s"], t["change"]["wall_s"]
+        rows.append(f"| tier-1 | wall_s | {base:.1f} | {change:.1f} | "
+                    f"{(change - base) / base:+.1%} | - | - |")
     return "\n".join(rows)
 
 
@@ -170,6 +198,11 @@ def record(args):
                     })
                     print(f"{wl} pair {i} seed {seed} {side}: "
                           f"{runs[-1]['metrics']}", flush=True)
+        tier1 = {"command": "PYTHONPATH=src python " + " ".join(TIER1_ARGS)}
+        for side, tree in trees.items():
+            tier1[side] = run_tier1(tree)
+            print(f"tier-1 {side}: {tier1[side]['wall_s']:.1f} s, "
+                  f"{tier1[side]['summary']}", flush=True)
     out = {
         "label": args.label,
         "created_utc": datetime.datetime.now(datetime.timezone.utc)
@@ -181,6 +214,7 @@ def record(args):
                      "command": spec["command"]},
         "runs": runs,
         "summary": summarize(runs, directions),
+        "tier1": tier1,
     }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
