@@ -24,6 +24,8 @@ from .tensor import Tensor
 
 CSV_COLUMNS = ["variant", "k", "L", "mean_ms", "median_ms", "std_ms",
                "score_storage", "oom"]
+# Every cell times 4 heads of 16 dimensions, the default model's shape.
+HEADS, HEAD_DIM = 4, 16
 
 
 @dataclass
@@ -33,8 +35,6 @@ class BenchSpec:
     repetitions: int = 10
     warmup: int = 2
     variants: tuple = ("structured", "full")
-    heads: int = 4
-    head_dim: int = 16
     mem_budget_bytes: float = 1.0e9
     seed: int = 0
 
@@ -49,8 +49,6 @@ class BenchSpec:
             raise ValueError(f"unknown variant in {self.variants}")
         if min(self.lengths) < 1 or min(self.k_grid) < 0:
             raise ValueError("lengths must be >= 1 and the k grid >= 0")
-        if min(self.heads, self.head_dim) < 1:
-            raise ValueError("heads and head_dim must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -67,14 +65,14 @@ class BenchRecord:
     oom: bool = False
 
 
-def _dense_bytes(k, L, heads):
+def _dense_bytes(k, L):
     # score matrix + probability matrix, float64
-    return 2 * heads * score_storage(k, L)["full"] * 8
+    return 2 * HEADS * score_storage(k, L)["full"] * 8
 
 
 def _time_cell(variant, k, L, spec, rng):
     T = (k + 1) * L
-    shape = (spec.heads, T, spec.head_dim)
+    shape = (HEADS, T, HEAD_DIM)
     q = Tensor(rng.standard_normal(shape))
     kk = Tensor(rng.standard_normal(shape))
     v = Tensor(rng.standard_normal(shape))
@@ -102,7 +100,7 @@ def run_bench(spec):
         for L in spec.lengths:
             for k in spec.k_grid:
                 storage = score_storage(k, L)[variant]
-                if variant == "full" and _dense_bytes(k, L, spec.heads) > spec.mem_budget_bytes:
+                if variant == "full" and _dense_bytes(k, L) > spec.mem_budget_bytes:
                     records.append(BenchRecord(variant, k, L, float("nan"),
                                                float("nan"), float("nan"),
                                                storage, oom=True))

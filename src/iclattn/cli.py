@@ -61,30 +61,25 @@ def apply_config(cfg, values):
 
 
 def _build_config(cls, args):
-    """`cls` from its defaults, under the `--config` file, under the flags
-    given on the command line."""
+    """`cls` from its defaults, under the `--config` file, under the field
+    flags given on the command line (a flag not given is None)."""
     values = read_config_file(args.config) if args.config else {}
-    values.update(args.given)
+    values.update({f.name: getattr(args, f.name) for f in fields(cls)
+                   if getattr(args, f.name, None) is not None})
     return apply_config(cls(), values)
 
 
-class _FieldFlag(argparse.Action):
-    """A config-field flag. Its string goes into `given`, which wins over
-    the `--config` file; the file wins over the flag's default."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.given = {**namespace.given, self.dest: values}
-
-
-def _add_field_flags(p, cfg, names):
-    """`--config`, and a flag per named field of the config dataclass
-    `cfg`, with the field's value as its default."""
-    p.set_defaults(given={})
+def _add_field_flags(p, names):
+    """`--config`, and a flag per named config field."""
     p.add_argument("--config", help="flat key=value config file")
     for name in names:
-        p.add_argument("--" + name.replace("_", "-"), default=getattr(cfg, name),
-                       action=_FieldFlag)
+        p.add_argument("--" + name.replace("_", "-"))
+
+
+def _check_output_dir(flag, path):
+    """ValueError when `path`, given to `flag`, names a missing directory."""
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"{flag} {path}: no such directory")
 
 
 def _usage_error(command, message):
@@ -105,8 +100,7 @@ def build_parser():
     p = sub.add_parser("train", help="meta-train on a synthetic family")
     p.add_argument("--family", default="lookup", choices=sorted(tasks.FAMILIES))
     p.add_argument("--variant", default="structured", choices=VARIANTS)
-    _add_field_flags(p, training.TrainConfig(),
-                     ("steps", "batch_size", "lr", "train_k", "seed"))
+    _add_field_flags(p, ("steps", "batch_size", "lr", "train_k", "seed"))
     p.add_argument("--log-csv", help="write step,loss,lr CSV here")
     p.add_argument("--checkpoint", help="save trained weights here (.npz)")
 
@@ -128,9 +122,8 @@ def build_parser():
     p.add_argument("--l-max", type=int, default=8)
 
     p = sub.add_parser("bench", help="attention scaling benchmark")
-    _add_field_flags(p, bench_mod.BenchSpec(),
-                     ("k_grid", "lengths", "repetitions", "warmup",
-                      "mem_budget_bytes", "seed"))
+    _add_field_flags(p, ("k_grid", "lengths", "repetitions", "warmup",
+                         "mem_budget_bytes", "seed"))
     p.add_argument("--csv", help="output CSV path (stdout if omitted)")
     return parser
 
@@ -148,12 +141,10 @@ def cmd_verify(args):
 def cmd_train(args):
     try:
         cfg = _build_config(training.TrainConfig, args)
+        _check_output_dir("--log-csv", args.log_csv)
+        _check_output_dir("--checkpoint", args.checkpoint)
     except (OSError, ValueError) as err:
         return _usage_error("train", err)
-    for flag, path in (("--log-csv", args.log_csv),
-                       ("--checkpoint", args.checkpoint)):
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
-            return _usage_error("train", f"{flag} {path}: no such directory")
     family = tasks.make_family(args.family)
     model = EncoderDecoder(ModelConfig(variant=args.variant), seed=cfg.seed)
     history = training.train(model, family, cfg, log_path=args.log_csv,
@@ -164,34 +155,31 @@ def cmd_train(args):
     return 0
 
 
-def _eval_usage_error(args, scheme):
-    """The usage error in the `eval` counts for this scheme, or None. FiD
-    always encodes one demonstration per group, so it takes no other group
-    count."""
+def _eval_plan(args):
+    """The fusion plan of the `eval` flags. Raises ValueError, naming the
+    flag, on a count below 1 or a group count the scheme cannot take."""
     for name in ("test_k", "groups", "episodes", "seeds", "l_max"):
         value = getattr(args, name)
         if value < 1:
-            return f"--{name.replace('_', '-')} must be >= 1, got {value}"
+            raise ValueError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
     groups, test_k = args.groups, args.test_k
-    if scheme in ("single", "fid") and groups != 1:
-        return f"--groups {groups} needs --scheme group-fid or ensemble"
+    try:
+        plan = FusionPlan(args.scheme.replace("-", "_"), groups)
+    except ValueError as err:
+        raise ValueError(f"--groups {groups}: {err}") from None
     if groups > test_k:
-        return f"--groups {groups} exceeds the {test_k} demonstrations (--test-k)"
-    return None
+        raise ValueError(f"--groups {groups} exceeds the {test_k} demonstrations (--test-k)")
+    return plan
 
 
 def cmd_eval(args):
-    scheme = args.scheme.replace("-", "_")
-    error = _eval_usage_error(args, scheme)
-    if error:
-        return _usage_error("eval", error)
-    family = tasks.make_family(args.family)
     try:
+        plan = _eval_plan(args)
         model = (EncoderDecoder.load(args.checkpoint) if args.checkpoint else
                  EncoderDecoder(ModelConfig(variant=args.variant), seed=args.seed))
     except (OSError, ValueError) as err:
         return _usage_error("eval", err)
-    plan = FusionPlan(scheme, args.groups)
+    family = tasks.make_family(args.family)
     result = training.evaluate(model, family, args.test_k,
                                episodes=args.episodes,
                                seeds=tuple(args.seed + s
@@ -205,10 +193,9 @@ def cmd_eval(args):
 def cmd_bench(args):
     try:
         spec = _build_config(bench_mod.BenchSpec, args)
+        _check_output_dir("--csv", args.csv)
     except (OSError, ValueError) as err:
         return _usage_error("bench", err)
-    if args.csv and not os.path.isdir(os.path.dirname(args.csv) or "."):
-        return _usage_error("bench", f"--csv {args.csv}: no such directory")
     records = bench_mod.run_bench(spec)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:

@@ -145,7 +145,6 @@ class RelativeBiasTable:
 
     def __init__(self, num_heads, num_buckets=32, max_distance=128,
                  bidirectional=True, *, rng, init_std=0.02):
-        self.num_heads = num_heads
         self.num_buckets = num_buckets
         self.max_distance = max_distance
         self.bidirectional = bidirectional

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TOKEN_BASE = 2  # first usable token id
+TOKEN_BASE = 2  # first usable token id: keys and inputs start here
+LABEL_BASE = 40  # first label token of the lookup and linear families
 
 
 def _require(**bounds):
@@ -82,12 +83,12 @@ class LookupFamily(TaskFamily):
     repeated keys give the matching signal several anchor positions. The
     pool size is a free parameter for harder variants."""
 
-    def __init__(self, num_keys=2, arity=4, key_base=TOKEN_BASE, label_base=40):
+    def __init__(self, num_keys=2, arity=4):
         _require(num_keys=(num_keys, 2), arity=(arity, 2))
         self.num_keys = num_keys
         self.arity = arity
-        self.keys = np.arange(key_base, key_base + num_keys)
-        self.labels = list(range(label_base, label_base + arity))
+        self.keys = np.arange(TOKEN_BASE, TOKEN_BASE + num_keys)
+        self.labels = list(range(LABEL_BASE, LABEL_BASE + arity))
         self.options = np.array(self.labels)[:, None]  # (arity, 1)
 
     def _episode(self, k, rng):
@@ -107,13 +108,11 @@ class LinearLabelFamily(TaskFamily):
     """Label index = (a * t + b) mod arity for input token offset t; the
     episode's latent (a, b) must be inferred from the demonstrations."""
 
-    def __init__(self, input_range=16, arity=4, input_base=TOKEN_BASE,
-                 label_base=40):
+    def __init__(self, input_range=16, arity=4):
         _require(input_range=(input_range, 1), arity=(arity, 2))
         self.input_range = input_range
         self.arity = arity
-        self.input_base = input_base
-        self.labels = list(range(label_base, label_base + arity))
+        self.labels = list(range(LABEL_BASE, LABEL_BASE + arity))
         self.options = np.array(self.labels)[:, None]  # (arity, 1)
 
     def _label(self, t, a, b):
@@ -123,7 +122,7 @@ class LinearLabelFamily(TaskFamily):
         a = int(rng.integers(1, self.arity))
         b = int(rng.integers(self.arity))
         ts = rng.integers(self.input_range, size=k + 1)
-        return self._assemble((self.input_base + ts)[:, None].tolist(),
+        return self._assemble((TOKEN_BASE + ts)[:, None].tolist(),
                               self.options[(a * ts + b) % self.arity].tolist(),
                               self.options[None].repeat(k + 1, 0).tolist())
 
@@ -132,22 +131,20 @@ class CopyOffsetFamily(TaskFamily):
     """y is x shifted by the episode's latent offset; candidates are the
     test input under every possible offset."""
 
-    def __init__(self, max_offset=4, seq_len=3, input_range=20,
-                 input_base=TOKEN_BASE):
+    def __init__(self, max_offset=4, seq_len=3, input_range=20):
         _require(max_offset=(max_offset, 1), seq_len=(seq_len, 1),
                  input_range=(input_range, 1))
         self.max_offset = max_offset
         self.seq_len = seq_len
         self.input_range = input_range
-        self.input_base = input_base
 
     def _episode(self, k, rng):
         off = int(rng.integers(1, self.max_offset + 1))
         raw = rng.integers(self.input_range, size=(k + 1, self.seq_len))
         offsets = np.arange(1, self.max_offset + 1)[:, None]
-        opts = self.input_base + (raw[:, None, :] + offsets) % (
+        opts = TOKEN_BASE + (raw[:, None, :] + offsets) % (
             self.input_range + self.max_offset)  # (k+1, max_offset, seq_len)
-        return self._assemble((self.input_base + raw).tolist(),
+        return self._assemble((TOKEN_BASE + raw).tolist(),
                               opts[:, off - 1].tolist(), opts.tolist())
 
 

@@ -76,6 +76,8 @@ def lr_schedule(step, cfg):
 # peak RSS by 2.9 MB (4.5%), as each of its set-ups holds a model and
 # optimizer. 16384 was the fastest of 4096-32768 for the default model.
 _ADAM_CHUNK = 16384
+# Adam's moment decays and denominator term: Kingma & Ba's defaults.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
@@ -91,11 +93,11 @@ class Adam:
     have a gradient and updates them a chunk at a time: the gradient is
     gathered (and cast) into a float64 scratch array, and the updated
     master chunk is cast back into the working buffer. A parameter whose
-    `.grad` is None gets neither a moment decay nor an update."""
+    `.grad` is None gets neither a moment decay nor an update. `BETA1`,
+    `BETA2` and `EPS` are fixed; each `step` takes the learning rate."""
 
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.flat = np.empty(sum(p.data.size for p in params.values()))
         self._work = np.empty(self.flat.size, dtype=np.float32)
@@ -116,7 +118,7 @@ class Adam:
 
     def step(self, lr):
         self.t += 1
-        corr = (1 - self.beta1 ** self.t, 1 - self.beta2 ** self.t)
+        corr = (1 - BETA1 ** self.t, 1 - BETA2 ** self.t)
         g = self._scratch[2]
         a = n = 0               # g[:n] holds the gradient of flat[a:a + n]
         for p, start, stop in self._spans:
@@ -136,22 +138,21 @@ class Adam:
     def _update(self, a, n, lr, corr1, corr2):
         """Adam on flat[a:a + n], whose gradient is in the scratch array:
         the operations, in their order, of
-        m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
-        w -= lr (m / corr1) / (sqrt(v / corr2) + eps),
+        m = BETA1 m + (1 - BETA1) g,  v = BETA2 v + (1 - BETA2) g g,
+        w -= lr (m / corr1) / (sqrt(v / corr2) + EPS),
         then the cast of the updated weights into the working buffer."""
-        b1, b2 = self.beta1, self.beta2
         m, v = self.m[a:a + n], self.v[a:a + n]
         s1, s2, g = (s[:n] for s in self._scratch)
-        m *= b1
-        np.multiply(g, 1 - b1, out=s1)
+        m *= BETA1
+        np.multiply(g, 1 - BETA1, out=s1)
         m += s1
-        v *= b2
-        np.multiply(g, 1 - b2, out=s1)
+        v *= BETA2
+        np.multiply(g, 1 - BETA2, out=s1)
         s1 *= g
         v += s1
         np.divide(v, corr2, out=s1)
         np.sqrt(s1, out=s1)
-        s1 += self.eps
+        s1 += EPS
         np.divide(m, corr1, out=s2)
         s2 *= lr
         s2 /= s1

@@ -131,43 +131,55 @@ def test_criterion_5_gradient_checks(capsys):
     t0 = time.monotonic()
     ok_attn, worst_attn = verify.attention_gradients()
 
-    # end-to-end loss on a 2-layer model, spot-checked parameter entries
+    # end-to-end loss on a 2-layer model, spot-checked parameter entries,
+    # on a lookup batch and on a copy batch: lookup's one-token
+    # continuations leave every dec_bias gradient exactly 0, copy's three
+    # tokens do not
     cfg = ModelConfig(vocab=48, d_model=8, heads=2, enc_layers=2,
                       dec_layers=2, ffn=16, variant="structured")
     model = EncoderDecoder(cfg, seed=0)
-    family = make_family("lookup")
+    params = model.parameters()
     tcfg = TrainConfig(train_k=2, batch_size=2)
-    eps = sample_batch(family, 2, 2, np.random.default_rng(5))
-    loss = batch_loss(model, eps, tcfg)
-    tz.backward(loss)
+    names = ("embed", "out", "enc.0.attn.wq", "enc.1.ffn.w1",
+             "dec.0.cross.wk", "dec.1.self.wv", "enc_bias", "dec_bias")
+    checked = set()
     rng = np.random.default_rng(6)
-    worst_loss = 0.0
-    for name in ("embed", "out", "enc.0.attn.wq", "enc.1.ffn.w1",
-                 "dec.0.cross.wk", "dec.1.self.wv", "enc_bias", "dec_bias"):
-        p = model.parameters()[name]
-        flat = p.data.reshape(-1)
-        # entries whose gradient clears the 1e-6 floor: at a zero-gradient
-        # entry the relative error reads the loss's rounding over the floor.
-        # One-token continuations leave every dec_bias gradient exactly 0,
-        # and its finite differences read exactly 0, so it draws from all.
-        live = np.flatnonzero(np.abs(p.grad.reshape(-1)) >= 1e-6)
-        pool = live if live.size else np.arange(flat.size)
-        for _ in range(3):
-            i = int(pool[rng.integers(pool.size)])
-            h, old = 1e-5, flat[i]
-            flat[i] = old + h
-            hi = batch_loss(model, eps, tcfg).item()
-            flat[i] = old - h
-            lo = batch_loss(model, eps, tcfg).item()
-            flat[i] = old
-            num = (hi - lo) / (2 * h)
-            ana = p.grad.reshape(-1)[i]
-            worst_loss = max(worst_loss,
-                             abs(num - ana) / max(abs(num), abs(ana), 1e-6))
+    worst_loss = {}
+    for family in ("lookup", "copy"):
+        eps = sample_batch(make_family(family), 2, 2, np.random.default_rng(5))
+        for p in params.values():
+            p.grad = None
+        tz.backward(batch_loss(model, eps, tcfg))
+        worst_loss[family] = 0.0
+        for name in names:
+            p = params[name]
+            flat = p.data.reshape(-1)
+            # only entries whose gradient clears the 1e-6 floor: at a
+            # zero-gradient entry the relative error reads the loss's
+            # rounding over the floor
+            live = np.flatnonzero(np.abs(p.grad.reshape(-1)) >= 1e-6)
+            if not live.size:
+                continue
+            checked.add(name)
+            for _ in range(3):
+                i = int(live[rng.integers(live.size)])
+                h, old = 1e-5, flat[i]
+                flat[i] = old + h
+                hi = batch_loss(model, eps, tcfg).item()
+                flat[i] = old - h
+                lo = batch_loss(model, eps, tcfg).item()
+                flat[i] = old
+                num = (hi - lo) / (2 * h)
+                ana = p.grad.reshape(-1)[i]
+                worst_loss[family] = max(
+                    worst_loss[family],
+                    abs(num - ana) / max(abs(num), abs(ana), 1e-6))
+    assert checked == set(names), f"no live entries: {set(names) - checked}"
     elapsed = time.monotonic() - t0
-    ok = ok_attn and worst_loss <= 1e-4 and elapsed < 120
+    ok = ok_attn and max(worst_loss.values()) <= 1e-4 and elapsed < 120
     report(capsys, "5 gradient correctness", ok,
-           f"attn rel err {worst_attn:.2e}, loss rel err {worst_loss:.2e}, "
+           f"attn rel err {worst_attn:.2e}, loss rel err lookup "
+           f"{worst_loss['lookup']:.2e} / copy {worst_loss['copy']:.2e}, "
            f"{elapsed:.0f}s")
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from iclattn.attention import score_storage
-from iclattn.bench import (BenchRecord, BenchSpec, _dense_bytes, loglog_slope,
+from iclattn.bench import (HEADS, BenchRecord, BenchSpec, loglog_slope,
                            run_bench, to_csv)
 
 
@@ -45,7 +45,9 @@ class TestRunBench:
             assert r.score_storage == score_storage(r.k, r.L)[r.variant]
 
     def test_oom_flagged_not_crashed(self):
-        spec = tiny_spec(k_grid=(1, 2), mem_budget_bytes=_dense_bytes(1, 4, 4))
+        # float64 scores and probabilities of every head at k=1, L=4
+        budget = 2 * HEADS * score_storage(1, 4)["full"] * 8
+        spec = tiny_spec(k_grid=(1, 2), mem_budget_bytes=budget)
         records = run_bench(spec)
         full = {r.k: r for r in records if r.variant == "full"}
         assert not full[1].oom

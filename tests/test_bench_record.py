@@ -1,5 +1,5 @@
-"""`tools/bench_record.py` summarizes `setup_s`, its two parts and the
-tier-1 wall times."""
+"""`tools/bench_record.py` summarizes `setup_s`, its two parts, the
+tier-1 wall times and the line count of `src/`."""
 
 import importlib.util
 from pathlib import Path
@@ -85,3 +85,25 @@ def test_run_tier1_records_wall_time_exit_and_summary(tmp_path):
     assert got["exit"] == 0
     assert got["summary"].startswith("1 passed")
     assert got["wall_s"] > 0
+
+
+def test_src_lines_are_recorded_and_tabled(tmp_path):
+    """`src_lines` counts newlines as `wc -l src/iclattn/*.py` does, and a
+    record with both counts gets one `src lines` row; older records
+    without them print no such row."""
+    pkg = tmp_path / "src" / "iclattn"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3\n")
+    (pkg / "notes.txt").write_text("not counted\n")
+    assert bench_record.src_lines(tmp_path) == 3
+    runs = [{"workload": "w", "pair": pair, "side": side,
+             "metrics": {"op_ms_p90": 10.0}}
+            for pair in range(2) for side in ("base", "change")]
+    record = {"summary": bench_record.summarize(
+        runs, {"op_ms_p90": ("ms", "lower")}),
+        "src_lines": {"base": 2544, "change": 2523}}
+    rows = bench_record.table(record).splitlines()
+    assert rows[-1] == "| src lines | wc -l | 2544 | 2523 | -0.8% | - | - |"
+    del record["src_lines"]
+    assert "src lines" not in bench_record.table(record)

@@ -76,6 +76,16 @@ class TestConfigFile:
         spec = cli._build_config(BenchSpec, args)
         assert (spec.seed, spec.repetitions, spec.warmup) == (5, 4, 1)
 
+    def test_bench_heads_are_not_options(self, tmp_path, capsys, monkeypatch):
+        """Every cell times `HEADS` x `HEAD_DIM`: a config file that sets
+        `heads` is a usage error before any cell runs."""
+        monkeypatch.setattr(cli.bench_mod, "run_bench", None)
+        path = tmp_path / "f.cfg"
+        path.write_text("heads = 4\n")
+        assert cli.main(["bench", "--config", str(path)]) == 2
+        assert ("iclattn bench: error: unknown config key(s) heads"
+                in capsys.readouterr().err)
+
     def test_optimizer_is_not_an_option(self, tmp_path, capsys, monkeypatch):
         """Adam is the one optimizer: neither a flag nor a config key
         chooses it."""
@@ -276,11 +286,9 @@ class TestCommands:
         assert capsys.readouterr().out.startswith("variant,k,L")
 
     def test_train_defaults_follow_train_config(self):
+        """`train` with no flags and no file builds exactly `TrainConfig()`."""
         args = cli.build_parser().parse_args(["train"])
-        cfg = TrainConfig()
-        assert (args.steps, args.batch_size, args.lr, args.train_k,
-                args.seed) == (
-            cfg.steps, cfg.batch_size, cfg.lr, cfg.train_k, cfg.seed)
+        assert cli._build_config(TrainConfig, args) == TrainConfig()
 
     def test_train_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "train.cfg"

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from iclattn.tasks import (CopyOffsetFamily, LinearLabelFamily, LookupFamily,
-                           TaskExample, make_family)
+from iclattn.tasks import (LABEL_BASE, TOKEN_BASE, CopyOffsetFamily,
+                           LinearLabelFamily, LookupFamily, TaskExample,
+                           make_family)
 
 
 class TestTaskExample:
@@ -54,9 +55,12 @@ class TestLookupFamily:
         assert len(fingerprints) > 1
 
     def test_options_are_label_tokens(self):
-        fam = LookupFamily(arity=4, label_base=40)
+        fam = LookupFamily(arity=4)
         ep = fam.sample_episode(3, 0)
-        assert ep.test.options == [[40], [41], [42], [43]]
+        assert LABEL_BASE == 40
+        assert ep.test.options == [[LABEL_BASE + i] for i in range(4)]
+        assert all(TOKEN_BASE <= d.x[0] < TOKEN_BASE + fam.num_keys
+                   for d in ep.demos + [ep.test])
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="num_keys"):
@@ -78,7 +82,7 @@ class TestLinearFamily:
             for a in range(1, fam.arity):
                 for b in range(fam.arity):
                     ok = all(
-                        d.y[0] == fam._label(d.x[0] - fam.input_base, a, b)
+                        d.y[0] == fam._label(d.x[0] - TOKEN_BASE, a, b)
                         for d in ep.demos + [ep.test])
                     if ok:
                         consistent.append((a, b))
@@ -100,7 +104,7 @@ class TestCopyFamily:
         modulus = fam.input_range + fam.max_offset
 
         def shift(x, off):
-            return [fam.input_base + (t - fam.input_base + off) % modulus
+            return [TOKEN_BASE + (t - TOKEN_BASE + off) % modulus
                     for t in x]
 
         seen = set()
@@ -111,7 +115,7 @@ class TestCopyFamily:
             seen.add(off)
             for ex in examples:
                 assert len(ex.x) == fam.seq_len, seed
-                assert all(0 <= t - fam.input_base < fam.input_range
+                assert all(0 <= t - TOKEN_BASE < fam.input_range
                            for t in ex.x), seed
                 assert ex.options == [shift(ex.x, o)
                                       for o in range(1, fam.max_offset + 1)], seed

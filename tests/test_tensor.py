@@ -373,16 +373,22 @@ def test_float32_layer_norm_matches_float64():
 
 
 class TestShortRowSoftmax:
-    """Rows of up to `_SHORT_ROW` entries take their maxima from a
-    transposed copy."""
+    """Short rows, as the desk-scale attention nodes normalize them."""
 
     @pytest.mark.parametrize("width", [1, 16, 32, 33])
-    def test_row_max_is_exact(self, monkeypatch, width):
+    def test_row_max_is_exact(self, width):
+        """In float32, on the last axis and on the structured node's
+        key-major axis -3, against the float64 reference formula."""
         rng = np.random.default_rng(24)
         s = rng.standard_normal((2, 3, 5, width)).astype(np.float32)
-        short = tz._softmax_inplace(s.copy())
-        monkeypatch.setattr(tz, "_SHORT_ROW", 0)    # every row takes max()
-        np.testing.assert_array_equal(short, tz._softmax_inplace(s.copy()))
+        s64 = s.astype(np.float64)
+        for axis in (-1, -3):
+            e = np.exp(s64 - s64.max(axis=axis, keepdims=True))
+            ref = e / e.sum(axis=axis, keepdims=True)
+            got = tz._softmax_inplace(s.copy(), axis=axis)
+            assert got.dtype == np.float32
+            # 1e-6 is about eight float32 ulps (eps 1.2e-7)
+            np.testing.assert_allclose(got, ref, rtol=1e-6, atol=0)
 
     def test_fully_masked_row_is_zero(self):
         s = np.full((2, 3, 8), tz.MASK_VALUE, dtype=np.float32)

@@ -8,7 +8,7 @@ from iclattn import tensor as tz
 from iclattn.fusion import pack_prompt
 from iclattn.model import EncoderDecoder, ModelConfig
 from iclattn.tasks import CopyOffsetFamily, LookupFamily
-from iclattn.training import (Adam, NonFiniteGradientError,
+from iclattn.training import (BETA1, BETA2, EPS, Adam, NonFiniteGradientError,
                               TrainConfig, batch_loss, evaluate, lr_schedule,
                               make_optimizer, sample_batch, train, train_step)
 
@@ -304,7 +304,7 @@ class TestOptimizers:
         ref = {n: p.data.copy() for n, p in params.items()}
         opt = Adam(params)
         master = master_views(opt)
-        b1, b2, eps, lr = opt.beta1, opt.beta2, opt.eps, 1e-2
+        b1, b2, eps, lr = BETA1, BETA2, EPS, 1e-2
         m = {n: np.zeros_like(a) for n, a in ref.items()}
         v = {n: np.zeros_like(a) for n, a in ref.items()}
         for t in range(1, 6):
@@ -352,7 +352,7 @@ class TestOptimizers:
         frozen = params["b"].data.copy()
         opt = Adam(params)
         master = master_views(opt)
-        b1, b2, eps, lr = opt.beta1, opt.beta2, opt.eps, 1e-2
+        b1, b2, eps, lr = BETA1, BETA2, EPS, 1e-2
         m = {n: np.zeros(shapes[n]) for n in ref}
         v = {n: np.zeros(shapes[n]) for n in ref}
         for t in range(1, 4):

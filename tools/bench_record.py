@@ -11,7 +11,9 @@ median of the run's set-up repeats; both parts are summarized beside it,
 since import time alone moves by tens of milliseconds between runs of
 unchanged code. After the pairs, it runs the tier-1 test command once in
 each tree and records both wall times and pytest's summary lines; the
-table adds them as a `tier-1` row. Record before committing the change.
+table adds them as a `tier-1` row. It also records each tree's
+`wc -l src/iclattn/*.py` total, which the table adds as a `src lines`
+row. Record before committing the change.
 Run from anywhere:
 
     python3 tools/bench_record.py --label mychange
@@ -96,6 +98,12 @@ def run_tier1(tree):
             "summary": lines[-1] if lines else ""}
 
 
+def src_lines(tree):
+    """The total of `wc -l src/iclattn/*.py` in `tree`."""
+    return sum(p.read_bytes().count(b"\n")
+               for p in Path(tree, "src", "iclattn").glob("*.py"))
+
+
 def quartiles(xs):
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3}
@@ -158,6 +166,10 @@ def table(record):
         base, change = t["base"]["wall_s"], t["change"]["wall_s"]
         rows.append(f"| tier-1 | wall_s | {base:.1f} | {change:.1f} | "
                     f"{(change - base) / base:+.1%} | - | - |")
+    if "src_lines" in record:   # one count per side
+        base, change = record["src_lines"]["base"], record["src_lines"]["change"]
+        rows.append(f"| src lines | wc -l | {base} | {change} | "
+                    f"{(change - base) / base:+.1%} | - | - |")
     return "\n".join(rows)
 
 
@@ -198,6 +210,7 @@ def record(args):
                     })
                     print(f"{wl} pair {i} seed {seed} {side}: "
                           f"{runs[-1]['metrics']}", flush=True)
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
         tier1 = {"command": "PYTHONPATH=src python " + " ".join(TIER1_ARGS)}
         for side, tree in trees.items():
             tier1[side] = run_tier1(tree)
@@ -215,6 +228,7 @@ def record(args):
         "runs": runs,
         "summary": summarize(runs, directions),
         "tier1": tier1,
+        "src_lines": lines,
     }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
