@@ -22,14 +22,15 @@ import numpy as np
 
 TOKEN_BASE = 2  # first usable token id: keys and inputs start here
 LABEL_BASE = 40  # first label token of the lookup and linear families
-
-
-def _require(**bounds):
-    """ValueError naming the first argument below its minimum; each
-    keyword maps an argument's name to (value, minimum)."""
-    for name, (value, low) in bounds.items():
-        if value < low:
-            raise ValueError(f"{name} must be >= {low}, got {value}")
+ARITY = 4  # labels of the lookup and linear families
+OPTIONS = np.arange(LABEL_BASE, LABEL_BASE + ARITY)[:, None]  # (ARITY, 1)
+# A pool of two lookup keys keeps the routing problem learnable by the
+# dense-attention baseline within the desk-scale training budget;
+# repeated keys give the matching signal several anchor positions.
+NUM_KEYS = 2  # lookup keys are TOKEN_BASE + [0, 2)
+LINEAR_INPUT_RANGE = 16  # linear inputs are TOKEN_BASE + [0, 16)
+MAX_OFFSET = 4  # copy offsets are 1..MAX_OFFSET
+COPY_INPUT_RANGE = 20  # copy inputs are TOKEN_BASE + [0, 20)
 
 
 @dataclass
@@ -74,76 +75,53 @@ class TaskFamily:
 
 
 class LookupFamily(TaskFamily):
-    """Each episode fixes a random key -> label mapping. Demonstrations
-    show distinct keys; the test key is one of the demonstrated keys, so
-    the answer is always recoverable from the prompt.
-
-    The default pool of two keys keeps the routing problem learnable by
-    the dense-attention baseline within the desk-scale training budget;
-    repeated keys give the matching signal several anchor positions. The
-    pool size is a free parameter for harder variants."""
-
-    def __init__(self, num_keys=2, arity=4):
-        _require(num_keys=(num_keys, 2), arity=(arity, 2))
-        self.num_keys = num_keys
-        self.arity = arity
-        self.keys = np.arange(TOKEN_BASE, TOKEN_BASE + num_keys)
-        self.labels = list(range(LABEL_BASE, LABEL_BASE + arity))
-        self.options = np.array(self.labels)[:, None]  # (arity, 1)
+    """Each episode fixes a random key -> label mapping over the NUM_KEYS
+    keys. Demonstrations show distinct keys; the test key is one of the
+    demonstrated keys, so the answer is always recoverable from the
+    prompt."""
 
     def _episode(self, k, rng):
-        kk = min(k, self.num_keys)
-        keys = rng.choice(self.keys, size=kk, replace=False)
+        kk = min(k, NUM_KEYS)
+        keys = TOKEN_BASE + rng.choice(NUM_KEYS, size=kk, replace=False)
         if k > kk:  # repeat keys consistently when k exceeds the pool
             keys = np.concatenate([keys, rng.choice(keys, size=k - kk)])
         keys = keys.tolist()
-        mapping = {key: self.labels[rng.integers(self.arity)] for key in set(keys)}
+        mapping = {key: LABEL_BASE + int(rng.integers(ARITY))
+                   for key in set(keys)}
         keys.append(keys[rng.integers(k)])  # the test key
         return self._assemble([[key] for key in keys],
                               [[mapping[key]] for key in keys],
-                              self.options[None].repeat(k + 1, 0).tolist())
+                              OPTIONS[None].repeat(k + 1, 0).tolist())
 
 
 class LinearLabelFamily(TaskFamily):
-    """Label index = (a * t + b) mod arity for input token offset t; the
+    """Label index = (a * t + b) mod ARITY for input token offset t; the
     episode's latent (a, b) must be inferred from the demonstrations."""
 
-    def __init__(self, input_range=16, arity=4):
-        _require(input_range=(input_range, 1), arity=(arity, 2))
-        self.input_range = input_range
-        self.arity = arity
-        self.labels = list(range(LABEL_BASE, LABEL_BASE + arity))
-        self.options = np.array(self.labels)[:, None]  # (arity, 1)
-
-    def _label(self, t, a, b):
-        return self.labels[(a * t + b) % self.arity]
-
     def _episode(self, k, rng):
-        a = int(rng.integers(1, self.arity))
-        b = int(rng.integers(self.arity))
-        ts = rng.integers(self.input_range, size=k + 1)
+        a = int(rng.integers(1, ARITY))
+        b = int(rng.integers(ARITY))
+        ts = rng.integers(LINEAR_INPUT_RANGE, size=k + 1)
         return self._assemble((TOKEN_BASE + ts)[:, None].tolist(),
-                              self.options[(a * ts + b) % self.arity].tolist(),
-                              self.options[None].repeat(k + 1, 0).tolist())
+                              OPTIONS[(a * ts + b) % ARITY].tolist(),
+                              OPTIONS[None].repeat(k + 1, 0).tolist())
 
 
 class CopyOffsetFamily(TaskFamily):
     """y is x shifted by the episode's latent offset; candidates are the
     test input under every possible offset."""
 
-    def __init__(self, max_offset=4, seq_len=3, input_range=20):
-        _require(max_offset=(max_offset, 1), seq_len=(seq_len, 1),
-                 input_range=(input_range, 1))
-        self.max_offset = max_offset
+    def __init__(self, seq_len=3):
+        if seq_len < 1:
+            raise ValueError(f"seq_len must be >= 1, got {seq_len}")
         self.seq_len = seq_len
-        self.input_range = input_range
 
     def _episode(self, k, rng):
-        off = int(rng.integers(1, self.max_offset + 1))
-        raw = rng.integers(self.input_range, size=(k + 1, self.seq_len))
-        offsets = np.arange(1, self.max_offset + 1)[:, None]
+        off = int(rng.integers(1, MAX_OFFSET + 1))
+        raw = rng.integers(COPY_INPUT_RANGE, size=(k + 1, self.seq_len))
+        offsets = np.arange(1, MAX_OFFSET + 1)[:, None]
         opts = TOKEN_BASE + (raw[:, None, :] + offsets) % (
-            self.input_range + self.max_offset)  # (k+1, max_offset, seq_len)
+            COPY_INPUT_RANGE + MAX_OFFSET)  # (k+1, MAX_OFFSET, seq_len)
         return self._assemble((TOKEN_BASE + raw).tolist(),
                               opts[:, off - 1].tolist(), opts.tolist())
 

@@ -24,7 +24,7 @@ from iclattn.fusion import (FusionPlan, fused_logprobs, fused_predict,
                             group_fid_encode, pack_prompt)
 from iclattn.model import EncoderDecoder, ModelConfig
 from iclattn.tasks import TaskExample, make_family
-from iclattn.training import TrainConfig, batch_loss, evaluate, sample_batch, train
+from iclattn.training import EvalResult, TrainConfig, batch_loss, sample_batch
 from iclattn import tensor as tz
 from iclattn import verify
 
@@ -35,19 +35,60 @@ def report(capsys, name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
+def start_fresh_python(code, *args):
+    """`python -c code *args` in a new process, left running so that
+    several can run at once. It imports the package this session
+    imported, with the BLAS pinning of conftest."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(iclattn.__file__).resolve().parents[1]))
+    return subprocess.Popen([sys.executable, "-c", code, *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+
+
+def stdout_of(proc):
+    """The stdout of a `start_fresh_python` process, once it has exited
+    cleanly."""
+    out, err = proc.communicate()
+    if proc.returncode:
+        raise RuntimeError(f"fresh process exited {proc.returncode}:\n{err}")
+    return out
+
+
+# One criterion 6 run: train one variant, save it to argv[2], print its
+# evaluations as JSON.
+TRAIN_AND_EVALUATE = """\
+import dataclasses, json, sys
+from iclattn.model import EncoderDecoder, ModelConfig
+from iclattn.tasks import make_family
+from iclattn.training import TrainConfig, evaluate, train
+variant, path = sys.argv[1:]
+family = make_family("lookup")
+model = EncoderDecoder(ModelConfig(variant=variant), seed=0)
+train(model, family, TrainConfig(steps=3000, seed=0))
+model.save(path)
+print(json.dumps({tk: dataclasses.asdict(evaluate(model, family, tk,
+                                                  episodes=100))
+                  for tk in (2, 4, 8)}))
+"""
+
+
 @pytest.fixture(scope="session")
-def trained_models():
+def trained_models(tmp_path_factory):
     """Both attention variants meta-trained on the lookup family with the
-    desk-default budget, plus their evaluation results."""
-    family = make_family("lookup")
-    out = {}
+    desk-default budget, plus their evaluation results. The two runs go
+    at once, each in a fresh process; the models come back through
+    `save`/`load`, which round-trips bit-exactly."""
+    root = tmp_path_factory.mktemp("trained")
     t0 = time.monotonic()
-    for variant in ("structured", "full"):
-        model = EncoderDecoder(ModelConfig(variant=variant), seed=0)
-        train(model, family, TrainConfig(steps=3000, seed=0))
-        evals = {tk: evaluate(model, family, tk, episodes=100)
-                 for tk in (2, 4, 8)}
-        out[variant] = (model, evals)
+    procs = {variant: start_fresh_python(TRAIN_AND_EVALUATE, variant,
+                                         str(root / f"{variant}.npz"))
+             for variant in ("structured", "full")}
+    out = {}
+    for variant, proc in procs.items():
+        evals = {int(tk): EvalResult(**r)
+                 for tk, r in json.loads(stdout_of(proc)).items()}
+        out[variant] = (EncoderDecoder.load(root / f"{variant}.npz"), evals)
     out["runtime"] = time.monotonic() - t0
     return out
 
@@ -99,12 +140,8 @@ def run_bench_in_fresh_process(spec):
             "from iclattn.bench import BenchSpec, run_bench\n"
             "records = run_bench(BenchSpec(**json.loads(sys.argv[1])))\n"
             "print(json.dumps([dataclasses.asdict(r) for r in records]))")
-    # the package this session imported, with the BLAS pinning of conftest
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(iclattn.__file__).resolve().parents[1]))
-    out = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(dataclasses.asdict(spec))],
-        env=env, capture_output=True, text=True, check=True).stdout
+    out = stdout_of(start_fresh_python(
+        code, json.dumps(dataclasses.asdict(spec))))
     return [BenchRecord(**r) for r in json.loads(out)]
 
 

@@ -137,6 +137,11 @@ class TestScoreStorage:
         ratio = (r64["full"] / r64["structured"]) / (r32["full"] / r32["structured"])
         assert 1.5 < ratio < 2.5
 
+    @pytest.mark.parametrize("k,L", [(-1, 4), (2, 0)])
+    def test_bad_layout_rejected(self, k, L):
+        with pytest.raises(ValueError, match=rf"bad \(k, L\) = \({k}, {L}\)"):
+            score_storage(k, L)
+
 
 class TestGradients:
     def test_backward_matches_dense_reference(self):
@@ -295,3 +300,10 @@ class TestFusedNodes:
             full_attention(q, key, key, None)
         with pytest.raises(ValueError, match="NaN"):
             structured_attention(q, key, key, full_layout(1, 1))
+
+    def test_sequence_length_must_match_layout(self):
+        """Five tokens do not split into the layout's 3 segments of 2."""
+        q = Tensor(np.ones((1, 5, 2)))
+        with pytest.raises(ValueError,
+                           match="sequence length 5 does not split into 3 segments of 2"):
+            structured_attention(q, q, q, full_layout(2, 2))

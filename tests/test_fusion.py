@@ -35,6 +35,10 @@ class TestPromptPack:
         with pytest.raises(ValueError):
             PromptPack(((2,),), (3,), (4,), "both")
 
+    def test_rejects_empty_test_segment(self):
+        with pytest.raises(ValueError, match="test segment must be non-empty"):
+            PromptPack(((2,),), (), (4,), "direct")
+
 
 class TestPackPrompt:
     def test_budget_admits_ten_of_sixteen(self):
@@ -68,6 +72,10 @@ class TestPackPrompt:
     def test_no_demos_rejected(self):
         with pytest.raises(PackingError):
             pack_prompt([], demo([2], [3]), k=1, l_max=8)
+
+    def test_zero_l_max_rejected(self):
+        with pytest.raises(PackingError, match="l_max must be >= 1"):
+            pack_prompt(make_demos(1, 2), demo([2], [3]), k=1, l_max=0)
 
     def test_channel_order(self):
         pack = pack_prompt([demo([2, 3], [4])], demo([5], [6]), k=1,
@@ -121,6 +129,10 @@ class TestFusionPlan:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             FusionPlan("pipeline", 1)
+
+    def test_zero_groups_rejected(self):
+        with pytest.raises(ValueError, match="groups must be >= 1"):
+            FusionPlan(groups=0)
 
 
 class TestDegeneracies:

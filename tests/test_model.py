@@ -337,6 +337,14 @@ class TestCheckpoint:
         cls._edit_header(arrays, lambda h: [h["version"], h["config"]])
 
     @staticmethod
+    def _no_header(arrays):
+        del arrays["__header__"]
+
+    @classmethod
+    def _version_2(cls, arrays):
+        cls._edit_header(arrays, lambda h: {**h, "version": 2})
+
+    @staticmethod
     def _header_not_json(arrays):
         arrays["__header__"] = np.frombuffer(b"{version: 1", dtype=np.uint8)
 
@@ -373,11 +381,14 @@ class TestCheckpoint:
         ("_no_config", "bad checkpoint config.*'config'"),
         ("_list_header", "unreadable checkpoint header"),
         ("_header_not_json", "unreadable checkpoint header"),
+        ("_no_header", "no checkpoint header"),
+        ("_version_2", "unsupported checkpoint version: 2"),
     ], ids=["missing", "wrong_shape", "nan", "extra", "truncated",
             "not_an_archive", "bare_npy", "unknown_config_field",
             "rejected_config", "odd_buckets", "short_distance",
             "two_buckets", "float_vocab", "float_enc_layers",
-            "no_config", "list_header", "not_json"])
+            "no_config", "list_header", "not_json", "no_header",
+            "version_2"])
     def test_untrustworthy_checkpoint_raises(self, tmp_path, edit, match):
         path = tmp_path / "ckpt.npz"
         small_model(seed=7).save(path)

@@ -210,3 +210,10 @@ class TestPermuteSegments:
             permute_segments(layout, x, (0, 0))
         with pytest.raises(InvalidPermutationError):
             permute_segments(layout, x, (1, 2))
+
+    def test_wrong_extent_rejected(self):
+        """Axis 1 has 5 entries where the layout has 6 tokens."""
+        layout = full_layout(2, 2)
+        with pytest.raises(ValueError,
+                           match="axis 1 has extent 5, layout wants 6"):
+            permute_segments(layout, np.zeros((6, 5)), (1, 0), axis=1)

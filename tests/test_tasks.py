@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from iclattn.tasks import (LABEL_BASE, TOKEN_BASE, CopyOffsetFamily,
-                           LinearLabelFamily, LookupFamily, TaskExample,
-                           make_family)
+from iclattn.tasks import (ARITY, COPY_INPUT_RANGE, LABEL_BASE,
+                           LINEAR_INPUT_RANGE, MAX_OFFSET, NUM_KEYS,
+                           TOKEN_BASE, CopyOffsetFamily, LinearLabelFamily,
+                           LookupFamily, TaskExample, make_family)
 
 
 class TestTaskExample:
@@ -55,21 +56,15 @@ class TestLookupFamily:
         assert len(fingerprints) > 1
 
     def test_options_are_label_tokens(self):
-        fam = LookupFamily(arity=4)
-        ep = fam.sample_episode(3, 0)
-        assert LABEL_BASE == 40
-        assert ep.test.options == [[LABEL_BASE + i] for i in range(4)]
-        assert all(TOKEN_BASE <= d.x[0] < TOKEN_BASE + fam.num_keys
+        ep = LookupFamily().sample_episode(3, 0)
+        assert (LABEL_BASE, ARITY, NUM_KEYS) == (40, 4, 2)
+        assert ep.test.options == [[LABEL_BASE + i] for i in range(ARITY)]
+        assert all(TOKEN_BASE <= d.x[0] < TOKEN_BASE + NUM_KEYS
                    for d in ep.demos + [ep.test])
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError, match="num_keys"):
-            LookupFamily(num_keys=1)
-        with pytest.raises(ValueError, match="arity"):
-            LookupFamily(arity=1)
         with pytest.raises(ValueError):
-            fam = LookupFamily()
-            fam.sample_episode(0, 0)
+            LookupFamily().sample_episode(0, 0)
 
 
 class TestLinearFamily:
@@ -77,31 +72,27 @@ class TestLinearFamily:
         fam = LinearLabelFamily()
         for seed in range(100):
             ep = fam.sample_episode(6, seed)
+            ts = [d.x[0] - TOKEN_BASE for d in ep.demos + [ep.test]]
+            assert all(0 <= t < LINEAR_INPUT_RANGE for t in ts), seed
             # recover (a, b) by brute force over the small latent space
             consistent = []
-            for a in range(1, fam.arity):
-                for b in range(fam.arity):
+            for a in range(1, ARITY):
+                for b in range(ARITY):
                     ok = all(
-                        d.y[0] == fam._label(d.x[0] - TOKEN_BASE, a, b)
-                        for d in ep.demos + [ep.test])
+                        d.y[0] == LABEL_BASE + (a * t + b) % ARITY
+                        for d, t in zip(ep.demos + [ep.test], ts))
                     if ok:
                         consistent.append((a, b))
             assert consistent, seed
-
-    @pytest.mark.parametrize("kwargs, name", [
-        ({"arity": 1}, "arity"), ({"input_range": 0}, "input_range")])
-    def test_parameter_validation(self, kwargs, name):
-        with pytest.raises(ValueError, match=name):
-            LinearLabelFamily(**kwargs)
 
 
 class TestCopyFamily:
     def test_gold_among_options(self):
         """Replay oracle of the copy rule: every y is its x shifted by one
         offset shared across the episode, and the options are x under
-        offsets 1..max_offset, in order."""
+        offsets 1..MAX_OFFSET, in order."""
         fam = make_family("copy")
-        modulus = fam.input_range + fam.max_offset
+        modulus = COPY_INPUT_RANGE + MAX_OFFSET
 
         def shift(x, off):
             return [TOKEN_BASE + (t - TOKEN_BASE + off) % modulus
@@ -115,19 +106,16 @@ class TestCopyFamily:
             seen.add(off)
             for ex in examples:
                 assert len(ex.x) == fam.seq_len, seed
-                assert all(0 <= t - TOKEN_BASE < fam.input_range
+                assert all(0 <= t - TOKEN_BASE < COPY_INPUT_RANGE
                            for t in ex.x), seed
                 assert ex.options == [shift(ex.x, o)
-                                      for o in range(1, fam.max_offset + 1)], seed
+                                      for o in range(1, MAX_OFFSET + 1)], seed
                 assert ex.y == shift(ex.x, off), seed
-        assert seen == set(range(1, fam.max_offset + 1))
+        assert seen == set(range(1, MAX_OFFSET + 1))
 
-    @pytest.mark.parametrize("kwargs, name", [
-        ({"max_offset": 0}, "max_offset"), ({"seq_len": 0}, "seq_len"),
-        ({"input_range": 0}, "input_range")])
-    def test_parameter_validation(self, kwargs, name):
-        with pytest.raises(ValueError, match=name):
-            CopyOffsetFamily(**kwargs)
+    def test_parameter_validation(self):
+        with pytest.raises(ValueError, match="seq_len"):
+            CopyOffsetFamily(seq_len=0)
 
 
 # sha256 of the episodes below as the sampler drew them when this test was
@@ -166,5 +154,6 @@ class TestMakeFamily:
             make_family("mystery")
 
     def test_kwargs_forwarded(self):
-        fam = make_family("lookup", num_keys=4)
-        assert fam.num_keys == 4
+        fam = make_family("copy", seq_len=8)
+        assert fam.seq_len == 8
+        assert len(fam.sample_episode(2, 0).test.x) == 8

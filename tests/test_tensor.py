@@ -355,6 +355,14 @@ class TestEmbedBackward:
                            rng.standard_normal((3, 11, 4)).astype(np.float32))
         assert grad.dtype == np.float32
 
+    @pytest.mark.parametrize("bad_id", [9, -1])
+    def test_id_outside_table_raises(self, bad_id):
+        """The model checks its tokens first, so only a direct call
+        reaches this check."""
+        table = Tensor(np.zeros((9, 4)))
+        with pytest.raises(IndexError, match=r"out of range \[0, 9\)"):
+            tz.embed(table, np.array([[0, bad_id]]))
+
 
 def test_float32_layer_norm_matches_float64():
     rng = np.random.default_rng(23)

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from iclattn import tensor as tz
+from iclattn import training
 from iclattn.fusion import pack_prompt
 from iclattn.model import EncoderDecoder, ModelConfig
-from iclattn.tasks import CopyOffsetFamily, LookupFamily
+from iclattn.tasks import ARITY, CopyOffsetFamily, LookupFamily
 from iclattn.training import (BETA1, BETA2, EPS, Adam, NonFiniteGradientError,
-                              TrainConfig, batch_loss, evaluate, lr_schedule,
-                              make_optimizer, sample_batch, train, train_step)
+                              NonFiniteLossError, TrainConfig, batch_loss,
+                              evaluate, lr_schedule, make_optimizer,
+                              sample_batch, train, train_step)
 
 
 def tiny_model(seed=0, variant="structured"):
@@ -60,15 +62,15 @@ class TestSchedule:
 
 class TestBatchLoss:
     def test_untrained_loss_near_log_arity(self):
-        """Balanced arity-4 labels with 1-token answers: an untrained
+        """Balanced ARITY labels with 1-token answers: an untrained
         model scores each candidate almost equally, so the candidate
-        cross-entropy sits at ~log 4."""
-        fam = LookupFamily(arity=4)
+        cross-entropy sits at ~log ARITY."""
+        fam = LookupFamily()
         model = EncoderDecoder(ModelConfig(variant="structured"), seed=0)
         rng = np.random.default_rng(0)
         eps = sample_batch(fam, 4, 64, rng)
         loss = batch_loss(model, eps, tiny_cfg(train_k=4)).item()
-        assert loss == pytest.approx(math.log(4), abs=0.1)
+        assert loss == pytest.approx(math.log(ARITY), abs=0.1)
 
     def test_fast_and_slow_paths_agree(self):
         fam = LookupFamily()
@@ -265,6 +267,22 @@ class TestTrainStep:
         with pytest.raises(NonFiniteGradientError):
             train_step(model, opt, eps, lr=1e-3, cfg=cfg)
         assert model.weight_fingerprint() == before
+        assert opt.t == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_loss_raises_before_update(self, monkeypatch, bad):
+        model = tiny_model()
+        cfg = tiny_cfg(batch_size=2, train_k=2)
+        opt = Adam(model.parameters())
+        eps = sample_batch(LookupFamily(), 2, 2, np.random.default_rng(0))
+        real_loss = training.batch_loss
+        monkeypatch.setattr(training, "batch_loss", lambda *args: tz.mul(
+            real_loss(*args), tz.constant(np.array(bad))))
+
+        flat = opt.flat.copy()
+        with pytest.raises(NonFiniteLossError, match="non-finite"):
+            train_step(model, opt, eps, lr=1e-3, cfg=cfg)
+        np.testing.assert_array_equal(opt.flat, flat)
         assert opt.t == 0
 
 
