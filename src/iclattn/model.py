@@ -219,7 +219,11 @@ class EncoderDecoder:
         e*C .. e*C + C - 1 are scored against episode e. Self-attention,
         the FFN and the loss run per continuation. Cross-attention folds
         each episode's C continuations into one (C*Td)-row query, so K/V
-        are projected once per episode, not once per continuation."""
+        are projected once per episode, not once per continuation. At
+        Td = 1 self-attention is its value and output projections, bit for
+        bit, and `self.wq`, `self.wk` and `dec_bias` get no gradient, not
+        zeros: Adam then skips them, so a run mixing Td = 1 with longer
+        batches would step those groups less often than at zero gradients."""
         if ys.ndim != 2 or ys.shape[1] == 0:
             raise ValueError(
                 "continuations must be equal-length non-empty sequences")
@@ -231,17 +235,21 @@ class EncoderDecoder:
         dec_in = np.concatenate(
             [np.full((N, 1), BOS_ID, dtype=np.int64), ys[:, :-1]], axis=1)
         T = dec_in.shape[1]
-        causal = np.where(np.tril(np.ones((T, T), dtype=bool)), 0.0, MASK_VALUE)
-        self_bias = self.dec_bias.bias_block(T)
+        if T > 1:
+            causal = np.where(np.tril(np.ones((T, T), bool)), 0.0, MASK_VALUE)
+            self_bias = self.dec_bias.bias_block(T)
         cross_mask = np.where(key_valid, 0.0, MASK_VALUE)
         d = self.config.d_model
 
         x = tz.embed(self.params["embed"], dec_in)
         for i in range(self.config.dec_layers):
             h = self._ln(x, f"dec.{i}.ln1")
-            z = attn.full_attention(*self._project(h, f"dec.{i}.self"),
-                                    causal, self_bias)
-            x = tz.add(x, self._out(z, f"dec.{i}.self"))
+            if T > 1:
+                h = tz.merge_heads(attn.full_attention(
+                    *self._project(h, f"dec.{i}.self"), causal, self_bias))
+            else:       # one key: its softmax weight is 1.0, so z = v
+                h = tz.linear(h, self.params[f"dec.{i}.self.wv"])
+            x = tz.add(x, tz.linear(h, self.params[f"dec.{i}.self.wo"]))
             h = tz.reshape(self._ln(x, f"dec.{i}.ln2"), (E, N // E * T, d))
             z = attn.full_attention(
                 *self._project(h, f"dec.{i}.cross", kv_from=states),

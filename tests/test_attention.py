@@ -161,6 +161,31 @@ class TestGradients:
             np.testing.assert_allclose(a, b, atol=1e-9)
 
 
+class TestSingleKey:
+    """The identity the decoder's one-token path rests on: over one key the
+    softmax weight is exactly 1, so `full_attention` returns `v`, passes
+    the output gradient to `v` unchanged and sends exact zeros to the
+    queries, the keys and the bias."""
+
+    @pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_is_value_and_dq_dk_dbias_are_zero(self, dtype, with_bias):
+        rng = np.random.default_rng(21)
+        q, k, v = (Tensor(rng.standard_normal((5, 2, 1, 4)).astype(dtype),
+                          requires_grad=True) for _ in range(3))
+        bias = (Tensor(rng.standard_normal((2, 1, 1)).astype(dtype),
+                       requires_grad=True) if with_bias else None)
+        g = rng.standard_normal((5, 2, 1, 4)).astype(dtype)
+        z = full_attention(q, k, v, None, bias)
+        assert z.data.dtype == dtype
+        assert np.array_equal(z.data, v.data)
+        backward(tsum(mul(z, Tensor(g))))
+        assert np.array_equal(v.grad, g)
+        for t in (q, k) + ((bias,) if with_bias else ()):
+            assert t.grad.dtype == dtype
+            assert not t.grad.any()
+
+
 class TestFusedNodes:
     """Each attention call is one tape node with a hand-written backward;
     the composite dense oracle checks its output and every gradient."""

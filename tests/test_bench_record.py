@@ -53,6 +53,26 @@ def test_table_prints_the_base_quartile_spread():
     assert row.split(" | ")[4:6] == ["-28.6%", "5/5"]
 
 
+def test_table_prints_whether_the_gap_exceeds_the_spread():
+    """The column before the spread is `summarize`'s verdict on whether
+    the medians lie further apart than the base side's quartiles: `yes`
+    for a median 25% lower against a 10% spread, `no` for one 5% lower."""
+    runs = []
+    for pair, b in enumerate([9.0, 9.5, 10.0, 10.5, 11.0]):
+        runs.append({"workload": "w", "pair": pair, "side": "base",
+                     "metrics": {"op_ms_p90": b, "op_ms_p50": b}})
+        runs.append({"workload": "w", "pair": pair, "side": "change",
+                     "metrics": {"op_ms_p90": b * 0.75,
+                                 "op_ms_p50": b * 0.95}})
+    summary = bench_record.summarize(runs, {"op_ms_p90": ("ms", "lower"),
+                                            "op_ms_p50": ("ms", "lower")})
+    header, _, fast, slight = bench_record.table(
+        {"summary": summary}).splitlines()
+    assert header.split(" | ")[5:7] == ["change wins", "gap above spread"]
+    assert fast.split(" | ")[5:] == ["5/5", "yes", "1 (10.0%) |"]
+    assert slight.split(" | ")[5:] == ["5/5", "no", "1 (10.0%) |"]
+
+
 def test_table_prints_the_tier1_wall_times():
     """A record with tier-1 runs gets one `tier-1` row after the metric
     rows: each side's wall time and how much slower the change ran. Older

@@ -60,6 +60,16 @@ class TestSchedule:
             lr_schedule(101, cfg)
 
 
+def assert_grads_match(params, ref_grads):
+    """Every gradient within 1e-9 of the reference's, and None on exactly
+    the parameters where the reference's is None."""
+    for n, p in params.items():
+        assert (p.grad is None) == (ref_grads[n] is None), n
+        if p.grad is not None:
+            np.testing.assert_allclose(p.grad, ref_grads[n], rtol=0,
+                                       atol=1e-9, err_msg=n)
+
+
 class TestBatchLoss:
     def test_untrained_loss_near_log_arity(self):
         """Balanced ARITY labels with 1-token answers: an untrained
@@ -117,9 +127,7 @@ class TestBatchLoss:
         batched = batch_loss(model, eps, cfg)
         tz.backward(batched)
         assert batched.item() == pytest.approx(ref.item(), abs=1e-9)
-        for n, p in params.items():
-            np.testing.assert_allclose(p.grad, ref_grads[n], rtol=0,
-                                       atol=1e-9, err_msg=n)
+        assert_grads_match(params, ref_grads)
 
     @pytest.mark.parametrize("family", [LookupFamily(), CopyOffsetFamily()],
                              ids=["lookup", "copy"])
@@ -150,9 +158,7 @@ class TestBatchLoss:
         batched = batch_loss(model, eps, cfg)
         tz.backward(batched)
         assert batched.item() == pytest.approx(ref.item(), abs=1e-9)
-        for n, p in params.items():
-            np.testing.assert_allclose(p.grad, ref_grads[n], rtol=0,
-                                       atol=1e-9, err_msg=n)
+        assert_grads_match(params, ref_grads)
 
     @pytest.mark.parametrize("case, match", [
         ("layouts", "identical layouts"),
@@ -245,6 +251,33 @@ class TestTrainStep:
         eps = sample_batch(fam, 2, 2, np.random.default_rng(0))
         before = batch_loss(model, eps, cfg).item()
         assert train_step(model, opt, eps, lr=1e-3, cfg=cfg) == pytest.approx(before)
+
+    def test_one_token_answers_train_only_self_attention_values(self):
+        """Lookup's one-token answers give each decoder self-attention row
+        one key, so that sublayer runs on `wv` and `wo` alone: `wq`, `wk`
+        and `dec_bias` get no gradient and keep their weights. Copy's
+        three-token answers give all of them gradients."""
+        model = EncoderDecoder(ModelConfig(vocab=48, d_model=8, heads=2,
+                                           enc_layers=1, dec_layers=2, ffn=16))
+        params = model.parameters()
+        idle = ["dec_bias"] + [f"dec.{i}.self.{w}" for i in (0, 1)
+                               for w in ("wq", "wk")]
+        used = [f"dec.{i}.self.{w}" for i in (0, 1) for w in ("wv", "wo")]
+        cfg = tiny_cfg(batch_size=2, train_k=2)
+        opt = Adam(params)
+        before = {n: params[n].data.copy() for n in idle}
+        rng = np.random.default_rng(0)
+        train_step(model, opt, sample_batch(LookupFamily(), 2, 2, rng),
+                   lr=1e-3, cfg=cfg)
+        for n in idle:
+            assert params[n].grad is None, n
+            np.testing.assert_array_equal(params[n].data, before[n], err_msg=n)
+        for n in used:
+            assert params[n].grad is not None and params[n].grad.any(), n
+        train_step(model, opt, sample_batch(CopyOffsetFamily(), 2, 2, rng),
+                   lr=1e-3, cfg=cfg)
+        for n in idle + used:
+            assert params[n].grad is not None and params[n].grad.any(), n
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("grad_clip", [1.0, 0.0])

@@ -6,7 +6,8 @@ side runs first, with a fresh seed per pair, and writes
 metrics, set-up parts and environment, and per metric each side's median
 and quartiles, the change's wins out of ten and how much worse the
 change's median is. The table it prints, also from a recorded file
-with `--table`, adds the base side's quartile spread. `setup_s` is the interpreter's import time plus the
+with `--table`, adds whether the medians differ by more than the base
+side's quartile spread, and that spread. `setup_s` is the interpreter's import time plus the
 median of the run's set-up repeats; both parts are summarized beside it,
 since import time alone moves by tens of milliseconds between runs of
 unchanged code. After the pairs, it runs the tier-1 test command once in
@@ -148,10 +149,15 @@ def summarize(runs, directions):
 def table(record):
     """The markdown table that `CHANGES.md` quotes. The last column is the
     base side's quartile spread, absolute and over its median: a claimed
-    gain must move the median by more than it."""
+    gain must move the median by more than it. The column before it says
+    whether the medians are further apart than that spread
+    (`gap_exceeds_base_iqr`), so a claim reads off the table as enough
+    wins plus a `yes` there. The `tier-1` and `src lines` rows, one
+    reading per side, put `-` under the wins and the verdict and leave
+    the spread empty."""
     rows = ["| workload | metric | base | change | worse by | change wins "
-            "| base quartile spread |",
-            "| --- | --- | --- | --- | --- | --- | --- |"]
+            "| gap above spread | base quartile spread |",
+            "| --- | --- | --- | --- | --- | --- | --- | --- |"]
     for wl, metrics in record["summary"].items():
         for name, m in metrics.items():
             cell = [f"{m[s]['median']:.5g} [{m[s]['q1']:.5g}-{m[s]['q3']:.5g}]"
@@ -160,6 +166,7 @@ def table(record):
             spread = base["q3"] - base["q1"]
             rows.append(f"| {wl} | {name} | {cell[0]} | {cell[1]} | "
                         f"{m['worse_by']:+.1%} | {m['wins']}/{m['pairs']} | "
+                        f"{'yes' if m['gap_exceeds_base_iqr'] else 'no'} | "
                         f"{spread:.4g} ({spread / base['median']:.1%}) |")
     if "tier1" in record:       # one run per side: no wins, no spread
         t = record["tier1"]
