@@ -22,12 +22,17 @@ import numpy as np
 
 from . import attention as attn
 from . import tensor as tz
-from .segments import MASK_VALUE, RelativeBiasTable, check_buckets
+from .segments import (MASK_VALUE, RelativeBiasTable, bias_for_layout,
+                       build_structured_mask, check_buckets)
 from .tensor import Tensor
 
 PAD_ID = 0
 BOS_ID = 1
 CHECKPOINT_VERSION = 1
+# The structured variant runs prompts of at most this many positions as
+# one dense pass under its mask: at desk scale that beats the key-major
+# node, whose cost only pays off on long prompts (crossover in CHANGES.md).
+DENSE_MAX_T = 48
 
 
 class VocabularyOverflowError(ValueError):
@@ -189,23 +194,32 @@ class EncoderDecoder:
     # each public call is one encoder or decoder pass.
     def _encoder(self, tokens, layout):
         """Encoder layers over (B, T) token ids of B prompts sharing
-        `layout`. Returns the states (B, T, d)."""
+        `layout`. Returns the states (B, T, d). The structured variant
+        runs `structured_attention` when T exceeds `DENSE_MAX_T`, and
+        otherwise `full_attention` under `build_structured_mask` and
+        `bias_for_layout`, as `dense_structured_reference` composes them:
+        one function, with the route chosen by the prompt length alone."""
         self._check_tokens(tokens)
+        T = layout.total_length
         structured = self.config.variant == "structured"
-        if structured:
+        blocked = structured and T > DENSE_MAX_T
+        if blocked:
             bias = self.enc_bias.bias_block(layout.segment_length)
+        elif structured:    # mask and bias built once, shared by every layer
+            mask = build_structured_mask(layout).astype(
+                self.params["embed"].data.dtype)
+            bias = bias_for_layout(self.enc_bias, layout)
         else:
-            key_mask = layout.key_mask()
-            bias = self.enc_bias.bias_global(layout.total_length)
+            mask, bias = layout.key_mask(), self.enc_bias.bias_global(T)
 
         x = self._mark_test(tz.embed(self.params["embed"], tokens), layout)
         for i in range(self.config.enc_layers):
             h = self._ln(x, f"enc.{i}.ln1")
             qkv = self._project(h, f"enc.{i}.attn")
-            if structured:
+            if blocked:
                 z = attn.structured_attention(*qkv, layout, bias_block=bias)
             else:
-                z = attn.full_attention(*qkv, key_mask, bias)
+                z = attn.full_attention(*qkv, mask, bias)
             x = tz.add(x, self._out(z, f"enc.{i}.attn"))
             x = tz.add(x, self._ffn(self._ln(x, f"enc.{i}.ln2"), f"enc.{i}.ffn"))
         return self._ln(x, "enc.final")

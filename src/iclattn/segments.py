@@ -171,7 +171,8 @@ def bias_for_layout(table, layout):
     """Structured bias tensor aligned with the (T, T) mask: the same
     within-segment block on every segment diagonal, exactly zero across
     segments (which is what makes demonstration permutations invisible).
-    The dense baseline's bias is `table.bias_global(T)`.
+    It has the table's dtype. The dense baseline's bias is
+    `table.bias_global(T)`.
     """
     T = layout.total_length
     L = layout.segment_length
@@ -179,7 +180,7 @@ def bias_for_layout(table, layout):
     buckets = table._bucket_matrix(pos_in_seg[:, None] - pos_in_seg[None, :])
     bias = transpose(embed(table.weights, buckets), (2, 0, 1))
     seg = _segment_ids(layout)
-    same = (seg[:, None] == seg[None, :]).astype(np.float64)
+    same = (seg[:, None] == seg[None, :]).astype(table.weights.data.dtype)
     return mul(bias, constant(same[None, :, :]))
 
 

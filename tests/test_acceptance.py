@@ -22,7 +22,7 @@ from iclattn.attention import score_storage
 from iclattn.bench import BenchRecord, BenchSpec, loglog_slope
 from iclattn.fusion import (FusionPlan, fused_logprobs, fused_predict,
                             group_fid_encode, pack_prompt)
-from iclattn.model import EncoderDecoder, ModelConfig
+from iclattn.model import DENSE_MAX_T, EncoderDecoder, ModelConfig
 from iclattn.tasks import TaskExample, make_family
 from iclattn.training import EvalResult, TrainConfig, batch_loss, sample_batch
 from iclattn import tensor as tz
@@ -171,23 +171,29 @@ def test_criterion_5_gradient_checks(capsys):
     # end-to-end loss on a 2-layer model, spot-checked parameter entries,
     # on a lookup batch and on a copy batch: lookup's one-token
     # continuations leave dec_bias without a gradient, copy's three
-    # tokens do not
+    # tokens do not. Both prompts are short enough for the encoder's
+    # dense route; a third batch, copy at k=8 (T=54), is long enough for
+    # the key-major node.
     cfg = ModelConfig(vocab=48, d_model=8, heads=2, enc_layers=2,
                       dec_layers=2, ffn=16, variant="structured")
     model = EncoderDecoder(cfg, seed=0)
     params = model.parameters()
-    tcfg = TrainConfig(train_k=2, batch_size=2)
     names = ("embed", "out", "enc.0.attn.wq", "enc.1.ffn.w1",
              "dec.0.cross.wk", "dec.1.self.wv", "enc_bias", "dec_bias")
     checked = set()
     rng = np.random.default_rng(6)
     worst_loss = {}
-    for family in ("lookup", "copy"):
-        eps = sample_batch(make_family(family), 2, 2, np.random.default_rng(5))
+    for label, family, k in (("lookup", "lookup", 2), ("copy", "copy", 2),
+                             ("long copy", "copy", 8)):
+        tcfg = TrainConfig(train_k=k, batch_size=2)
+        eps = sample_batch(make_family(family), k, 2, np.random.default_rng(5))
+        T = pack_prompt(eps[0].demos, eps[0].test, k=k,
+                        l_max=tcfg.l_max).layout().total_length
+        assert (T > DENSE_MAX_T) == (label == "long copy"), (label, T)
         for p in params.values():
             p.grad = None
         tz.backward(batch_loss(model, eps, tcfg))
-        worst_loss[family] = 0.0
+        worst_loss[label] = 0.0
         for name in names:
             p = params[name]
             if p.grad is None:      # no gradient: no live entry
@@ -210,16 +216,16 @@ def test_criterion_5_gradient_checks(capsys):
                 flat[i] = old
                 num = (hi - lo) / (2 * h)
                 ana = p.grad.reshape(-1)[i]
-                worst_loss[family] = max(
-                    worst_loss[family],
+                worst_loss[label] = max(
+                    worst_loss[label],
                     abs(num - ana) / max(abs(num), abs(ana), 1e-6))
     assert checked == set(names), f"no live entries: {set(names) - checked}"
     elapsed = time.monotonic() - t0
     ok = ok_attn and max(worst_loss.values()) <= 1e-4 and elapsed < 120
     report(capsys, "5 gradient correctness", ok,
            f"attn rel err {worst_attn:.2e}, loss rel err lookup "
-           f"{worst_loss['lookup']:.2e} / copy {worst_loss['copy']:.2e}, "
-           f"{elapsed:.0f}s")
+           f"{worst_loss['lookup']:.2e} / copy {worst_loss['copy']:.2e} / "
+           f"long copy {worst_loss['long copy']:.2e}, {elapsed:.0f}s")
 
 
 def test_criterion_6_learning_at_desk_scale(capsys, trained_models):

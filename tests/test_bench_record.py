@@ -2,6 +2,7 @@
 tier-1 wall times and the line count of `src/`."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -69,8 +70,53 @@ def test_table_prints_whether_the_gap_exceeds_the_spread():
     header, _, fast, slight = bench_record.table(
         {"summary": summary}).splitlines()
     assert header.split(" | ")[5:7] == ["change wins", "gap above spread"]
-    assert fast.split(" | ")[5:] == ["5/5", "yes", "1 (10.0%) |"]
-    assert slight.split(" | ")[5:] == ["5/5", "no", "1 (10.0%) |"]
+    assert fast.split(" | ")[5:] == ["5/5", "yes", "yes", "1 (10.0%) |"]
+    assert slight.split(" | ")[5:] == ["5/5", "no", "no", "1 (10.0%) |"]
+
+
+def test_claim_met_needs_nine_tenths_of_wins_and_a_better_median():
+    """`claim met` reads `yes` only when the change wins at least 9 of 10
+    pairs and its median is better, in the metric's direction, by more
+    than the base quartile spread. A metric that got worse by more than
+    the spread reads `yes` under `gap above spread` but `no` here, and so
+    does a large gain won in only 8 of 10 pairs."""
+    runs = []
+    for pair, b in enumerate([9.0, 9.5, 10.0, 10.5, 11.0] * 2):
+        lost = pair >= 8
+        runs.append({"workload": "w", "pair": pair, "side": "base",
+                     "metrics": {"op_ms_p90": b, "tokens_per_s": b,
+                                 "peak_rss_mb": b, "setup_s": b}})
+        runs.append({"workload": "w", "pair": pair, "side": "change",
+                     "metrics": {"op_ms_p90": b * 0.75,
+                                 "tokens_per_s": b * 1.25,
+                                 "peak_rss_mb": b * 1.25,
+                                 "setup_s": b * (1.01 if lost else 0.75)}})
+    summary = bench_record.summarize(runs, {
+        "op_ms_p90": ("ms", "lower"), "tokens_per_s": ("tokens/s", "higher"),
+        "peak_rss_mb": ("MB", "lower"), "setup_s": ("s", "lower")})
+    header, _, *rows = bench_record.table({"summary": summary}).splitlines()
+    assert header.split(" | ")[6:8] == ["gap above spread", "claim met"]
+    verdicts = {r.split(" | ")[1]: r.split(" | ")[5:8] for r in rows}
+    assert verdicts == {"op_ms_p90": ["10/10", "yes", "yes"],
+                        "tokens_per_s": ["10/10", "yes", "yes"],
+                        "peak_rss_mb": ["0/10", "yes", "no"],
+                        "setup_s": ["8/10", "yes", "no"]}
+
+
+def test_recorded_files_print_the_claim_verdict():
+    """Every committed `BENCH_*.json` still prints, the new column read
+    from the fields it stores. In `BENCH_pr19.json` the `train-desk`
+    `op_ms_p90` gain is met, and its `peak_rss_mb`, worse by more than
+    the spread, is not."""
+    root = _PATH.parent.parent
+    for path in sorted(root.glob("BENCH_*.json")):
+        bench_record.table(json.loads(path.read_text()))
+    rows = bench_record.table(json.loads(
+        (root / "BENCH_pr19.json").read_text())).splitlines()
+    verdicts = {r.split(" | ")[1]: r.split(" | ")[6:8]
+                for r in rows if r.startswith("| train-desk |")}
+    assert verdicts["op_ms_p90"] == ["yes", "yes"]
+    assert verdicts["peak_rss_mb"] == ["yes", "no"]
 
 
 def test_table_prints_the_tier1_wall_times():

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -7,13 +8,16 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from iclattn.fusion import PromptPack
+from iclattn import attention as attn
+from iclattn import model as model_module
+from iclattn.fusion import PromptPack, pack_prompt
 from iclattn import tensor as tz
 from iclattn.model import (CHECKPOINT_VERSION, PAD_ID, CheckpointError,
                            ContinuationCountError, EncoderDecoder,
                            ModelConfig, VocabularyOverflowError)
-from iclattn.tasks import LookupFamily
-from iclattn.training import Adam, TrainConfig, sample_batch, train_step
+from iclattn.tasks import Episode, LookupFamily, TaskExample
+from iclattn.training import (Adam, TrainConfig, batch_loss, sample_batch,
+                              train_step)
 
 
 def make_pack(demos, test, score, fmt="direct"):
@@ -207,6 +211,97 @@ class TestBatchedPath:
         states, key_valid = m.encode_batch(packs)
         with pytest.raises(ContinuationCountError, match="3 continuations"):
             m.batch_logprobs(states, key_valid, [[6], [7], [8]])
+
+
+def _episode_case(episodes, k):
+    """(packs, continuations, loss) for `batch_loss` over `episodes`."""
+    cfg = TrainConfig(train_k=k, batch_size=len(episodes))
+    packs = [pack_prompt(ep.demos, ep.test, k=k, l_max=cfg.l_max)
+             for ep in episodes]
+    conts = [c for ep in episodes for c in ep.test.options]
+    return packs, conts, lambda m: batch_loss(m, episodes, cfg)
+
+
+def _ragged_episode(a, b, c, d):
+    """Three demonstrations of 4, 2 and 3 tokens and a 2-token test
+    input: segments of 4 positions, padded in three of them."""
+    opts = [[20], [21]]
+    return Episode([TaskExample([a, b, c], [20], opts),
+                    TaskExample([d], [21], opts),
+                    TaskExample([a, d], [20], opts)],
+                   TaskExample([d, c], [21], opts))
+
+
+def _no_demo_case():
+    """k=0 prompts. `batch_loss` needs a demonstration, so the loss is
+    the summed scores."""
+    packs = [make_pack([], (2, 3, 4, 5), (6,)),
+             make_pack([], (7, 8, 9, 2), (10,))]
+    conts = [[6], [10], [6], [10]]
+    return packs, conts, lambda m: tz.tsum(
+        m.batch_logprobs(*m.encode_batch(packs), conts))
+
+
+ROUTE_CASES = {
+    "below_bound": lambda: _episode_case(
+        sample_batch(LookupFamily(), 4, 2, np.random.default_rng(1)), 4),
+    "above_bound": lambda: _episode_case(
+        sample_batch(LookupFamily(), 30, 2, np.random.default_rng(2)), 30),
+    "ragged": lambda: _episode_case(
+        [_ragged_episode(2, 3, 4, 5), _ragged_episode(6, 7, 8, 9)], 3),
+    "no_demos": _no_demo_case,
+}
+
+
+class TestStructuredRoutes:
+    @pytest.mark.parametrize("case", list(ROUTE_CASES))
+    def test_both_routes_compute_one_function(self, case, monkeypatch):
+        """The structured encoder runs a prompt of T <= DENSE_MAX_T
+        positions through `full_attention` under the structured mask and
+        bias, and a longer one through `structured_attention`. Forced one
+        way and then the other by moving the bound to T and to T - 1, a
+        float64 model gives the same encoder states, scores and parameter
+        gradients to 1e-10, and each encoder pass calls the node of its
+        route in every layer and never the other's."""
+        packs, conts, loss = ROUTE_CASES[case]()
+        T = packs[0].layout().total_length
+        if case == "below_bound":
+            assert T <= model_module.DENSE_MAX_T
+        if case == "above_bound":
+            assert T > model_module.DENSE_MAX_T
+        calls = collections.Counter()
+        for name in ("structured_attention", "full_attention"):
+            def spy(*args, _node=getattr(attn, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _node(*args, **kwargs)
+            monkeypatch.setattr(attn, name, spy)
+        m = EncoderDecoder(ModelConfig(vocab=48, d_model=16, heads=2,
+                                       enc_layers=2, dec_layers=2, ffn=32),
+                           seed=3)
+        assert m.params["embed"].data.dtype == np.float64
+        layers = m.config.enc_layers
+        got = {}
+        for route, bound in (("dense", T), ("key-major", T - 1)):
+            monkeypatch.setattr(model_module, "DENSE_MAX_T", bound)
+            calls.clear()
+            states, key_valid = m.encode_batch(packs)
+            assert (calls["full_attention"], calls["structured_attention"]) \
+                == ((layers, 0) if route == "dense" else (0, layers))
+            lp = m.batch_logprobs(states, key_valid, conts)
+            for p in m.params.values():
+                p.grad = None
+            tz.backward(loss(m))
+            got[route] = (states.data, lp.data,
+                          {name: None if p.grad is None else p.grad.copy()
+                           for name, p in m.params.items()})
+        (s_d, lp_d, g_d), (s_k, lp_k, g_k) = got["dense"], got["key-major"]
+        assert np.abs(s_d - s_k).max() <= 1e-10
+        assert np.abs(lp_d - lp_k).max() <= 1e-10
+        for name, g in g_d.items():
+            assert (g is None) == (g_k[name] is None), name
+            if g is not None:
+                assert np.abs(g - g_k[name]).max() <= 1e-10, name
+        assert g_d["enc_bias"] is not None and g_d["enc.0.attn.wq"] is not None
 
 
 class TestCheckpoint:

@@ -157,12 +157,18 @@ class TestBiasForLayout:
                                        rng=rng, init_std=1.0)
 
     def test_structured_blocks_identical(self):
+        """Also in the table's dtype: a float32 table, as Adam's float32
+        tape leaves it, gives a float32 bias, not a float64 one."""
         layout = full_layout(2, 3)
-        bias = bias_for_layout(self.table, layout).data
-        block1 = bias[:, 0:3, 0:3]
-        block2 = bias[:, 3:6, 3:6]
-        np.testing.assert_array_equal(block1, block2)
-        np.testing.assert_array_equal(block1, self.table.bias_block(3).data)
+        for dtype in (np.float64, np.float32):
+            self.table.weights.data = self.table.weights.data.astype(dtype)
+            bias = bias_for_layout(self.table, layout).data
+            assert bias.dtype == dtype
+            block1 = bias[:, 0:3, 0:3]
+            block2 = bias[:, 3:6, 3:6]
+            np.testing.assert_array_equal(block1, block2)
+            np.testing.assert_array_equal(block1,
+                                          self.table.bias_block(3).data)
 
     def test_structured_cross_segment_exactly_zero(self):
         layout = full_layout(3, 2)

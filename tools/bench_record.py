@@ -7,7 +7,8 @@ metrics, set-up parts and environment, and per metric each side's median
 and quartiles, the change's wins out of ten and how much worse the
 change's median is. The table it prints, also from a recorded file
 with `--table`, adds whether the medians differ by more than the base
-side's quartile spread, and that spread. `setup_s` is the interpreter's import time plus the
+side's quartile spread, whether a claimed gain is met, and that spread.
+`setup_s` is the interpreter's import time plus the
 median of the run's set-up repeats; both parts are summarized beside it,
 since import time alone moves by tens of milliseconds between runs of
 unchanged code. After the pairs, it runs the tier-1 test command once in
@@ -146,18 +147,29 @@ def summarize(runs, directions):
     return out
 
 
+def claim_met(m):
+    """Whether one metric's summary `m` supports a claimed gain: the
+    change won at least nine tenths of the pairs, and its median is
+    better than the base's, in the metric's own direction, by more than
+    the base side's quartile spread. Read from the fields every recorded
+    summary stores."""
+    base, change = m["base"], m["change"]
+    sign = 1 if m["better"] == "lower" else -1
+    gain = sign * (base["median"] - change["median"])
+    return 10 * m["wins"] >= 9 * m["pairs"] and gain > base["q3"] - base["q1"]
+
+
 def table(record):
     """The markdown table that `CHANGES.md` quotes. The last column is the
-    base side's quartile spread, absolute and over its median: a claimed
-    gain must move the median by more than it. The column before it says
-    whether the medians are further apart than that spread
-    (`gap_exceeds_base_iqr`), so a claim reads off the table as enough
-    wins plus a `yes` there. The `tier-1` and `src lines` rows, one
-    reading per side, put `-` under the wins and the verdict and leave
-    the spread empty."""
+    base side's quartile spread, absolute and over its median. The column
+    `gap above spread` says whether the medians are further apart than
+    that spread in either direction (`gap_exceeds_base_iqr`); `claim met`
+    reads `yes` only for a gain, by `claim_met`. The `tier-1` and
+    `src lines` rows, one reading per side, put `-` under the wins and
+    the gap and leave the rest empty."""
     rows = ["| workload | metric | base | change | worse by | change wins "
-            "| gap above spread | base quartile spread |",
-            "| --- | --- | --- | --- | --- | --- | --- | --- |"]
+            "| gap above spread | claim met | base quartile spread |",
+            "| --- | --- | --- | --- | --- | --- | --- | --- | --- |"]
     for wl, metrics in record["summary"].items():
         for name, m in metrics.items():
             cell = [f"{m[s]['median']:.5g} [{m[s]['q1']:.5g}-{m[s]['q3']:.5g}]"
@@ -167,6 +179,7 @@ def table(record):
             rows.append(f"| {wl} | {name} | {cell[0]} | {cell[1]} | "
                         f"{m['worse_by']:+.1%} | {m['wins']}/{m['pairs']} | "
                         f"{'yes' if m['gap_exceeds_base_iqr'] else 'no'} | "
+                        f"{'yes' if claim_met(m) else 'no'} | "
                         f"{spread:.4g} ({spread / base['median']:.1%}) |")
     if "tier1" in record:       # one run per side: no wins, no spread
         t = record["tier1"]
