@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: verify (property suites), train (meta-training), eval
-(accuracy with a fusion scheme) and bench (scaling benchmark, CSV).
+(JSON accuracy report for a fusion scheme) and bench (scaling benchmark).
 
 Exit codes: 0 success, 1 verification/eval failure, 2 usage error.
 `train` and `bench` read a flat key=value file (`--config`) of config
@@ -10,9 +10,11 @@ is a usage error, before any model is built.
 """
 
 import argparse
+import json
 import os
 import sys
-from dataclasses import fields, replace
+import time
+from dataclasses import asdict, fields, replace
 
 # Timing-sensitive subcommands want single-threaded BLAS; must happen
 # before numpy first loads.
@@ -180,13 +182,14 @@ def cmd_eval(args):
     except (OSError, ValueError) as err:
         return _usage_error("eval", err)
     family = tasks.make_family(args.family)
-    result = training.evaluate(model, family, args.test_k,
-                               episodes=args.episodes,
-                               seeds=tuple(args.seed + s
-                                           for s in range(args.seeds)),
-                               l_max=args.l_max, fmt=args.fmt, plan=plan)
-    per_seed = ", ".join(f"{a:.3f}" for a in result.per_seed)
-    print(f"accuracy: {result.mean:.3f} +- {result.std:.3f}  (per seed: {per_seed})")
+    start = time.perf_counter()
+    result = training.evaluate(
+        model, family, args.test_k, episodes=args.episodes,
+        seeds=tuple(range(args.seed, args.seed + args.seeds)),
+        l_max=args.l_max, fmt=args.fmt, plan=plan)
+    ms = (time.perf_counter() - start) * 1e3 / (args.episodes * args.seeds)
+    print(json.dumps({"test_k": args.test_k, **asdict(result),
+                      "episodes": args.episodes, "ms_per_episode": ms}))
     return 0
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import MASK_VALUE, Tensor, constant, embed, mul, transpose
+from .tensor import MASK_VALUE, Tensor, constant, embed, mul, reshape, transpose
 
 
 class InvalidPermutationError(ValueError):
@@ -69,10 +69,6 @@ def _check_perm(perm, k):
     return perm
 
 
-def _segment_ids(layout):
-    return np.repeat(np.arange(layout.num_segments), layout.segment_length)
-
-
 def build_structured_mask(layout):
     """Additive (T, T) mask, 0 where a query may attend a key and
     MASK_VALUE where it is blocked. Demonstration tokens attend within
@@ -80,7 +76,7 @@ def build_structured_mask(layout):
     everywhere. Padding keys are blocked for all queries. With every
     segment full, (3k+1)*L^2 pairs stay open.
     """
-    seg = _segment_ids(layout)
+    seg = np.arange(layout.total_length) // layout.segment_length
     test = layout.num_demos
     same = seg[:, None] == seg[None, :]
     to_test = seg[None, :] == test
@@ -151,14 +147,11 @@ class RelativeBiasTable:
         weights = rng.normal(0.0, init_std, size=(num_buckets, num_heads))
         self.weights = Tensor(weights, requires_grad=True)
 
-    def _bucket_matrix(self, deltas):
-        return relative_bucket(deltas, self.num_buckets, self.max_distance,
-                               self.bidirectional)
-
     def bias_block(self, length):
         """(heads, L, L) bias for one segment; shared by every segment."""
         pos = np.arange(length)
-        buckets = self._bucket_matrix(pos[:, None] - pos[None, :])
+        buckets = relative_bucket(pos[:, None] - pos[None, :], self.num_buckets,
+                                  self.max_distance, self.bidirectional)
         return transpose(embed(self.weights, buckets), (2, 0, 1))
 
     def bias_global(self, length):
@@ -168,20 +161,15 @@ class RelativeBiasTable:
 
 
 def bias_for_layout(table, layout):
-    """Structured bias tensor aligned with the (T, T) mask: the same
-    within-segment block on every segment diagonal, exactly zero across
-    segments (which is what makes demonstration permutations invisible).
-    It has the table's dtype. The dense baseline's bias is
-    `table.bias_global(T)`.
-    """
-    T = layout.total_length
-    L = layout.segment_length
-    pos_in_seg = np.arange(T) % L
-    buckets = table._bucket_matrix(pos_in_seg[:, None] - pos_in_seg[None, :])
-    bias = transpose(embed(table.weights, buckets), (2, 0, 1))
-    seg = _segment_ids(layout)
-    same = (seg[:, None] == seg[None, :]).astype(table.weights.data.dtype)
-    return mul(bias, constant(same[None, :, :]))
+    """(H, T, T) structured bias aligned with the (T, T) mask, in the
+    table's dtype: `table.bias_block(L)` on every segment diagonal and
+    exactly zero across segments, which makes demonstration permutations
+    invisible. The dense baseline's bias is `table.bias_global(T)`."""
+    T, L, n = layout.total_length, layout.segment_length, layout.num_segments
+    block = table.bias_block(L)
+    eye = np.eye(n, dtype=block.data.dtype)[None, :, None, :, None]
+    placed = mul(reshape(block, (-1, 1, L, 1, L)), constant(eye))
+    return reshape(placed, (-1, T, T))
 
 
 def permute_segments(layout, values, perm, axis=0):

@@ -1,11 +1,13 @@
 """Acceptance gates for the structured-attention package.
 
 Eight criteria, one test each, every one printing a single pass/fail
-line to the terminal (bypassing capture). The training-based criteria
-share one session-scoped pair of trained models.
+line to the terminal (bypassing capture), and one ungated report, the
+full model's order sensitivity. The training-based tests share one
+session-scoped pair of trained models.
 """
 
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -55,40 +57,25 @@ def stdout_of(proc):
     return out
 
 
-# One criterion 6 run: train one variant, save it to argv[2], print its
-# evaluations as JSON.
-TRAIN_AND_EVALUATE = """\
-import dataclasses, json, sys
-from iclattn.model import EncoderDecoder, ModelConfig
-from iclattn.tasks import make_family
-from iclattn.training import TrainConfig, evaluate, train
-variant, path = sys.argv[1:]
-family = make_family("lookup")
-model = EncoderDecoder(ModelConfig(variant=variant), seed=0)
-train(model, family, TrainConfig(steps=3000, seed=0))
-model.save(path)
-print(json.dumps({tk: dataclasses.asdict(evaluate(model, family, tk,
-                                                  episodes=100))
-                  for tk in (2, 4, 8)}))
-"""
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "seed_sweep.py"
+_SPEC = importlib.util.spec_from_file_location("seed_sweep", _PATH)
+seed_sweep = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(seed_sweep)
 
 
 @pytest.fixture(scope="session")
 def trained_models(tmp_path_factory):
-    """Both attention variants meta-trained on the lookup family with the
-    desk-default budget, plus their evaluation results. The two runs go
-    at once, each in a fresh process; the models come back through
-    `save`/`load`, which round-trips bit-exactly."""
+    """Both attention variants meta-trained on the lookup family with
+    criterion 6's recipe (`tools/seed_sweep.py` at seed 0), plus their
+    evaluation results. The two runs go at once, each in a fresh
+    process; the models come back through `save`/`load`, which
+    round-trips bit-exactly."""
     root = tmp_path_factory.mktemp("trained")
     t0 = time.monotonic()
-    procs = {variant: start_fresh_python(TRAIN_AND_EVALUATE, variant,
-                                         str(root / f"{variant}.npz"))
-             for variant in ("structured", "full")}
-    out = {}
-    for variant, proc in procs.items():
-        evals = {int(tk): EvalResult(**r)
-                 for tk, r in json.loads(stdout_of(proc)).items()}
-        out[variant] = (EncoderDecoder.load(root / f"{variant}.npz"), evals)
+    rows = seed_sweep.sweep(("structured", "full"), [0], save_dir=root)
+    out = {variant: (EncoderDecoder.load(root / f"{variant}-{seed}.npz"),
+                     {tk: EvalResult(**r) for tk, r in result["evals"].items()})
+           for variant, seed, result in rows}
     out["runtime"] = time.monotonic() - t0
     return out
 
@@ -122,6 +109,31 @@ def test_criterion_2_permutation_invariance(capsys):
     elapsed = time.monotonic() - t0
     report(capsys, "2 permutation invariance", ok and same and elapsed < 30,
            f"max attn err {worst:.2e}, predict identical={same}, {elapsed:.1f}s")
+
+
+def test_order_sensitivity_of_full_model(capsys, trained_models):
+    """Ungated: how often criterion 6's trained full model changes its
+    prediction when a lookup episode's k=8 demonstrations are permuted,
+    one seeded permutation per episode, on 200 episodes whose seeds
+    criterion 6's evaluation does not use. The structured model's
+    predictions cannot move (criterion 2); the full model's can."""
+    t0 = time.monotonic()
+    model = trained_models["full"][0]
+    family = make_family("lookup")
+    rng = np.random.default_rng(21)
+    flips = 0
+    for i in range(200):
+        ep = family.sample_episode(8, 9_000_000 + i)
+        perm = rng.permutation(len(ep.demos))
+        a, b = (fused_predict(model, demos, ep.test, ep.test.options,
+                              FusionPlan(), l_max=8)
+                for demos in (ep.demos, [ep.demos[p] for p in perm]))
+        flips += int(a != b)
+    with capsys.disabled():
+        print(f"\n[acceptance] order sensitivity (ungated): full model "
+              f"flips {flips}/200 predictions ({flips / 200:.1%}) under one "
+              f"demonstration permutation per episode at k=8, "
+              f"{time.monotonic() - t0:.1f}s")
 
 
 def test_criterion_3_mask_counts(capsys):

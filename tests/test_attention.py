@@ -295,6 +295,26 @@ class TestFusedNodes:
         assert gap <= verify.FUSED_ORACLE_TOL
         assert gap32 <= verify.FUSED_FLOAT32_TOL
 
+    def test_structured_node_matches_oracle_at_train_long_scale(self):
+        """The structured node against the dense oracle at `train-long`'s
+        model shape: k=32, L=16, a test segment of 11 valid tokens, two
+        prompts, H=4, dh=16 and the model's 64 buckets, in float64.
+        The output and the q, k, v and table gradients all agree within
+        FUSED_ORACLE_TOL."""
+        layout = SegmentLayout(32, 16, (16,) * 32 + (11,))
+        rng = np.random.default_rng(19)
+        shape = (2, 4, layout.total_length, 16)
+        q, key, v = (Tensor(rng.standard_normal(shape), requires_grad=True)
+                     for _ in range(3))
+        table = RelativeBiasTable(4, num_buckets=64, rng=rng, init_std=0.5)
+        tensors = [q, key, v, table.weights]
+        got = verify._value_and_grads(lambda: structured_attention(
+            q, key, v, layout, bias_block=table.bias_block(16)), tensors)
+        want = verify._value_and_grads(lambda: dense_structured_reference(
+            q, key, v, layout, table), tensors)
+        for name, a, b in zip(("out", "q", "k", "v", "table"), got, want):
+            assert np.max(np.abs(a - b)) <= verify.FUSED_ORACLE_TOL, name
+
     def test_one_tape_node_per_call(self):
         rng = np.random.default_rng(14)
         layout = SegmentLayout(3, 2, (2, 1, 2, 2))

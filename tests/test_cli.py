@@ -126,9 +126,19 @@ class TestCommands:
                          "--log-csv", str(log)]) == 0
         assert ckpt.exists()
         assert log.read_text().startswith("step,loss,lr")
+        capsys.readouterr()
         assert cli.main(["eval", "--checkpoint", str(ckpt), "--test-k", "2",
                          "--episodes", "4", "--seeds", "2"]) == 0
-        assert "accuracy:" in capsys.readouterr().out
+        report = json.loads(capsys.readouterr().out)
+        assert set(report) == {"test_k", "per_seed", "mean", "std",
+                               "episodes", "ms_per_episode"}
+        assert report["test_k"] == 2 and report["episodes"] == 4
+        assert len(report["per_seed"]) == 2
+        assert report["mean"] == pytest.approx(np.mean(report["per_seed"]))
+        assert report["std"] == pytest.approx(np.std(report["per_seed"]))
+        assert all(a in (0.0, 0.25, 0.5, 0.75, 1.0)
+                   for a in report["per_seed"])
+        assert report["ms_per_episode"] > 0
 
     def test_checkpoint_named_without_suffix(self, tmp_path, capsys):
         """`train` and `eval` name the checkpoint file the same way: the
@@ -268,7 +278,9 @@ class TestCommands:
             rc = cli.main(["eval", "--scheme", scheme, "--groups", groups,
                            "--test-k", "2", "--episodes", "2", "--seeds", "1"])
             assert rc == 0
-            assert "accuracy:" in capsys.readouterr().out
+            report = json.loads(capsys.readouterr().out)
+            assert len(report["per_seed"]) == 1
+            assert 0.0 <= report["mean"] <= 1.0
 
     def test_bench_csv(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"

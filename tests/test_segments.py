@@ -7,7 +7,8 @@ from iclattn.segments import (InvalidPermutationError, RelativeBiasTable,
                               SegmentLayout, bias_for_layout, build_full_mask,
                               build_structured_mask, permute_segments,
                               relative_bucket)
-from iclattn.tensor import MASK_VALUE
+from iclattn.tensor import (MASK_VALUE, Tensor, backward, constant, embed,
+                            mul, transpose, tsum)
 
 
 def full_layout(k, L):
@@ -150,11 +151,99 @@ class TestRelativeBucket:
                             bidirectional=False)
 
 
+# Layouts the placed bias is checked on: full, ragged, no demonstrations,
+# and the `train-long` benchmark's shape.
+BIAS_LAYOUTS = {
+    "full": full_layout(8, 2),
+    "ragged": SegmentLayout(3, 3, (3, 1, 2, 2)),
+    "k0": SegmentLayout(0, 3, (2,)),
+    "train-long": SegmentLayout(32, 16, (16,) * 32 + (11,)),
+}
+
+
+def pairwise_bias(table, layout):
+    """The bias built pairwise over the whole sequence: bucket the
+    within-segment offset of every one of the T^2 position pairs, look
+    the buckets up, and zero the cross-segment pairs with a same-segment
+    mask."""
+    T, L = layout.total_length, layout.segment_length
+    pos = np.arange(T) % L
+    buckets = relative_bucket(pos[:, None] - pos[None, :], table.num_buckets,
+                              table.max_distance)
+    bias = transpose(embed(table.weights, buckets), (2, 0, 1))
+    seg = np.arange(T) // L
+    same = (seg[:, None] == seg[None, :]).astype(table.weights.data.dtype)
+    return mul(bias, constant(same[None, :, :]))
+
+
+def table_grad(table, build, layout):
+    """The table's gradient through `build(table, layout)` under a fixed
+    random output gradient."""
+    table.weights.grad = None
+    bias = build(table, layout)
+    g = np.random.default_rng(3).standard_normal(bias.data.shape)
+    backward(tsum(mul(bias, Tensor(g.astype(bias.data.dtype)))))
+    return table.weights.grad
+
+
+def large_buffers(out, size):
+    """Distinct memory buffers of at least `size` entries that the graph
+    under `out` keeps alive: every node's data and every array its
+    backward closure holds, views counted once with their base."""
+    buffers, seen, stack = {}, set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+        cells = (node._backward.__closure__ or ()) if node._backward else ()
+        for a in [node.data] + [c.cell_contents for c in cells]:
+            if isinstance(a, np.ndarray):
+                while a.base is not None:
+                    a = a.base
+                if a.size >= size:
+                    buffers[id(a)] = a
+    return list(buffers.values())
+
+
 class TestBiasForLayout:
     def setup_method(self):
         rng = np.random.default_rng(2)
         self.table = RelativeBiasTable(2, num_buckets=8, max_distance=16,
                                        rng=rng, init_std=1.0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("name", BIAS_LAYOUTS)
+    def test_placed_block_equals_pairwise_bias(self, name, dtype):
+        """Bit for bit, signed zeros included, in the table's dtype."""
+        layout = BIAS_LAYOUTS[name]
+        self.table.weights.data = self.table.weights.data.astype(dtype)
+        got = bias_for_layout(self.table, layout).data
+        want = pairwise_bias(self.table, layout).data
+        assert got.dtype == want.dtype == dtype
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", BIAS_LAYOUTS)
+    def test_table_gradient_matches_pairwise_bias(self, name):
+        """The placement sums over segments before buckets, the pairwise
+        bias over buckets alone: equal up to float64 rounding."""
+        layout = BIAS_LAYOUTS[name]
+        got = table_grad(self.table, bias_for_layout, layout)
+        want = table_grad(self.table, pairwise_bias, layout)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_graph_holds_one_bias_sized_buffer(self):
+        """Of the arrays the bias's tape keeps for backward, one has H*T^2
+        entries: the placed bias itself. The pairwise bias keeps three,
+        its lookup, the lookup's transpose and the masked product."""
+        layout = BIAS_LAYOUTS["train-long"]
+        size = 2 * layout.total_length ** 2
+        assert len(large_buffers(bias_for_layout(self.table, layout),
+                                 size)) == 1
+        assert len(large_buffers(pairwise_bias(self.table, layout),
+                                 size)) == 3
 
     def test_structured_blocks_identical(self):
         """Also in the table's dtype: a float32 table, as Adam's float32
