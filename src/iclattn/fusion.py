@@ -1,4 +1,4 @@
-"""Prompt packing and the fusion schemes over demonstration groups.
+"""Prompt packing, the one candidate scorer, and fusion over groups.
 
 A prompt is built from k demonstrations plus the test input, in direct
 order (x_i, y_i, ..., x_test) or channel order (y_i, x_i, ..., y_test).
@@ -21,7 +21,7 @@ import numpy as np
 from .model import PAD_ID
 from .segments import SegmentLayout
 from .tasks import TaskExample
-from .tensor import concat
+from .tensor import concat, reshape
 
 FORMATS = ("direct", "channel")
 SCHEMES = ("single", "fid", "group_fid", "ensemble")
@@ -34,21 +34,12 @@ class PackingError(ValueError):
 
 @dataclass(frozen=True)
 class PromptPack:
-    """One fused prompt: demonstration segments, the test segment, and
-    the continuation to score.
-
-    `score_tokens` is the gold continuation for training (y_test in
-    direct format) or the scored test input (x_test in channel format).
-    """
+    """One fused prompt: demonstration segments and the test segment."""
 
     demo_segments: tuple        # tuple of token tuples
     test_segment: tuple
-    score_tokens: tuple
-    format: str
 
     def __post_init__(self):
-        if self.format not in FORMATS:
-            raise ValueError(f"unknown prompt format {self.format!r}")
         if len(self.test_segment) == 0:
             raise ValueError("test segment must be non-empty")
 
@@ -88,43 +79,59 @@ class FusionPlan:
             raise ValueError(f"{self.scheme} scheme requires groups == 1")
 
 
-def _demo_tokens(example, fmt):
-    x, y = list(example.x), list(example.y)
-    return y + x if fmt == "channel" else x + y
-
-
-def _test_tokens(example, fmt):
-    # channel prompts end with y_test and score x_test; direct ends with
-    # x_test and scores y_test
-    if fmt == "channel":
-        return list(example.y), list(example.x)
-    return list(example.x), list(example.y)
-
-
 def pack_prompt(demos, test, k, l_max, fmt="direct"):
     """Truncate each sample to l_max tokens, then admit demonstrations
     greedily in the given order while the count is at most k and the
-    total token length at most 64*k.
-    """
+    total token length at most 64*k. The test segment is x_test in direct
+    format and y_test in channel format."""
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown prompt format {fmt!r}")
     if len(demos) == 0:
         raise PackingError("need at least one demonstration")
     if l_max < 1:
         raise PackingError("l_max must be >= 1")
     budget = TOKENS_PER_DEMO_BUDGET * k
-    test_seg, score = _test_tokens(test, fmt)
-    test_seg = test_seg[:l_max]
+    test_seg = list(test.y if fmt == "channel" else test.x)[:l_max]
     if len(test_seg) > budget:
         raise PackingError(
             f"test input alone ({len(test_seg)} tokens) exceeds the {budget}-token budget")
     admitted = []
     total = len(test_seg)
     for demo in demos:
-        seg = _demo_tokens(demo, fmt)[:l_max]
+        x, y = list(demo.x), list(demo.y)
+        seg = (y + x if fmt == "channel" else x + y)[:l_max]
         if len(admitted) + 1 > k or total + len(seg) > budget:
             break
         admitted.append(tuple(seg))
         total += len(seg)
-    return PromptPack(tuple(admitted), tuple(test_seg), tuple(score), fmt)
+    return PromptPack(tuple(admitted), tuple(test_seg))
+
+
+def batch_scores(model, episodes, candidates, k, l_max, fmt="direct"):
+    """(B, C) log-probabilities of each of B episodes' C candidates, from
+    one `encode_batch` and one `batch_logprobs`: direct format scores the
+    candidates after one prompt per episode; channel format scores x_test
+    after one prompt per candidate, the candidate in y_test's place.
+    Raises ValueError, before any encoder pass, unless every episode has
+    the same number of continuations, all of one length, and the prompts
+    share one layout."""
+    if fmt == "channel":
+        prompts = [(ep.demos, TaskExample(ep.test.x, c))
+                   for ep, cs in zip(episodes, candidates) for c in cs]
+        candidates = [[ep.test.x] * len(cs)
+                      for ep, cs in zip(episodes, candidates)]
+    else:
+        prompts = [(ep.demos, ep.test) for ep in episodes]
+    if (len({len(cs) for cs in candidates}) != 1
+            or len({len(c) for cs in candidates for c in cs}) != 1):
+        raise ValueError("batch_scores needs the same number of "
+                         "continuations, all of one length, in every episode")
+    # encode_batch rejects differing layouts before it encodes
+    states, key_valid = model.encode_batch(
+        [pack_prompt(d, t, k, l_max, fmt) for d, t in prompts])
+    lp = model.batch_logprobs(states, key_valid,
+                              [c for cs in candidates for c in cs])
+    return reshape(lp, (len(candidates), len(candidates[0])))
 
 
 def split_groups(n, groups):
@@ -177,9 +184,3 @@ def _group_logprobs(model, demos, test, candidates, groups, l_max, fmt):
         enc = group_fid_encode(model, demos, cand_test, groups, l_max, fmt)
         scores.append(model.sequence_logprob(*enc, list(test.x)).item())
     return np.array(scores)
-
-
-def fused_predict(model, demos, test, candidates, plan, l_max, fmt="direct"):
-    """Index of the best-scoring candidate; ties go to the lowest index."""
-    scores = fused_logprobs(model, demos, test, candidates, plan, l_max, fmt)
-    return int(np.argmax(scores))

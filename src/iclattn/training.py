@@ -1,7 +1,7 @@
 """Meta-training over synthetic task families.
 
-Each step samples a batch of episodes, packs them into prompts, and
-minimizes `batch_loss`: candidate cross-entropy (direct) or NLL (channel).
+Each step samples a batch of episodes and minimizes `batch_loss` over
+`fusion.batch_scores`: candidate cross-entropy (direct) or NLL (channel).
 The learning rate warms up linearly to its peak over the first fraction
 of steps, then decays linearly to zero.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .fusion import FORMATS, FusionPlan, fused_predict, pack_prompt
+from .fusion import FORMATS, FusionPlan, batch_scores, fused_logprobs
 
 
 class NonFiniteLossError(RuntimeError):
@@ -174,36 +174,20 @@ def make_optimizer(kind, params):
 
 
 def batch_loss(model, episodes, cfg):
-    """Mean loss over a batch, from one encoder pass over its B prompts and
-    one decoder pass over their continuations: in direct format the
-    cross-entropy of the gold answer against the episode's C options (so
-    an untrained model scores ~log C, not log(vocab)); in channel format,
-    where the candidate is in the encoder, the test input's negative
-    log-probability. Raises ValueError, before any encoder pass, unless the
-    prompts share one layout and every episode has the same number of
-    continuations (none for a direct episode without options), all of one
-    length."""
-    packs = [pack_prompt(ep.demos, ep.test, k=cfg.train_k, l_max=cfg.l_max,
-                         fmt=cfg.fmt) for ep in episodes]
-    if cfg.fmt == "channel":
-        conts = [[list(p.score_tokens)] for p in packs]
-    else:
-        conts = [[list(c) for c in ep.test.options or ()] for ep in episodes]
-    if (len({len(cs) for cs in conts}) != 1
-            or len({len(c) for cs in conts for c in cs}) != 1):
-        raise ValueError("batch_loss needs the same number of continuations "
-                         "(options, in direct format), all of one length, "
-                         "in every episode")
-    # encode_batch rejects differing layouts before it encodes
-    states, key_valid = model.encode_batch(packs)
-    lp = model.batch_logprobs(states, key_valid,
-                              [c for cs in conts for c in cs])     # (B*C,)
-    B, C = len(conts), len(conts[0])
+    """Mean loss over a batch, on one `batch_scores` call: in direct format
+    the cross-entropy of the gold answer against the episode's C options
+    (so an untrained model scores ~log C, not log(vocab)); in channel
+    format, with the gold answer as the one candidate, the test input's
+    negative log-probability. Raises `batch_scores`' ValueError, before
+    any encoder pass, on a batch it rejects."""
+    lp = batch_scores(model, episodes, [
+        [ep.test.y] if cfg.fmt == "channel" else ep.test.options or ()
+        for ep in episodes], cfg.train_k, cfg.l_max, cfg.fmt)
     if cfg.fmt == "direct":
         gold = np.array([ep.test.options.index(list(ep.test.y))
                          for ep in episodes], dtype=np.int64)
-        lp = tz.gather_last(tz.log_softmax_last(tz.reshape(lp, (B, C))), gold)
-    return tz.scale(tz.tsum(lp), -1.0 / B)
+        lp = tz.gather_last(tz.log_softmax_last(lp), gold)
+    return tz.scale(tz.tsum(lp), -1.0 / len(episodes))
 
 
 def grad_norm(params):
@@ -294,19 +278,33 @@ class EvalResult:
     std: float
 
 
+# Prompts per `batch_scores` call in `evaluate`'s single plan, where a
+# channel episode takes one per candidate: the grid is in CHANGES.md.
+EVAL_CHUNK = 16
+
+
 def evaluate(model, family, test_k, episodes=100, seeds=(0, 1, 2, 3, 4),
              l_max=8, fmt="direct", plan=FusionPlan()):
     """Accuracy of the fusion plan's prediction (single prompt by
-    default) over k = test_k demonstrations, averaged over demonstration
-    seeds. Deterministic given (model, family, seeds, plan)."""
+    default; ties go to the first candidate) over k = test_k
+    demonstrations, averaged over demonstration seeds. The single plan
+    scores `EVAL_CHUNK` prompts, of one layout, per `batch_scores` call.
+    Deterministic given (model, family, seeds, plan)."""
     accs = []
     for seed in seeds:
-        hits = 0
-        for i in range(episodes):
-            ep = family.sample_episode(test_k, seed * 1_000_003 + i)
-            cands = ep.test.options
-            pred = fused_predict(model, ep.demos, ep.test, cands, plan,
-                                 l_max, fmt)
-            hits += int(list(cands[pred]) == list(ep.test.y))
-        accs.append(hits / episodes)
+        eps = [family.sample_episode(test_k, seed * 1_000_003 + i)
+               for i in range(episodes)]
+        if plan.scheme == "single":
+            per = len(eps[0].test.options) if fmt == "channel" else 1
+            n = max(1, EVAL_CHUNK // per)
+            preds = np.concatenate([np.argmax(batch_scores(
+                model, eps[i:i + n], [ep.test.options for ep in eps[i:i + n]],
+                test_k, l_max, fmt).data, axis=1)
+                for i in range(0, episodes, n)])
+        else:
+            preds = [np.argmax(fused_logprobs(model, ep.demos, ep.test,
+                                              ep.test.options, plan, l_max,
+                                              fmt)) for ep in eps]
+        accs.append(sum(list(ep.test.options[p]) == list(ep.test.y)
+                        for ep, p in zip(eps, preds)) / episodes)
     return EvalResult(accs, float(np.mean(accs)), float(np.std(accs)))

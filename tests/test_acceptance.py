@@ -22,8 +22,8 @@ import pytest
 import iclattn
 from iclattn.attention import score_storage
 from iclattn.bench import BenchRecord, BenchSpec, loglog_slope
-from iclattn.fusion import (FusionPlan, fused_logprobs, fused_predict,
-                            group_fid_encode, pack_prompt)
+from iclattn.fusion import (FusionPlan, fused_logprobs, group_fid_encode,
+                            pack_prompt)
 from iclattn.model import DENSE_MAX_T, EncoderDecoder, ModelConfig
 from iclattn.tasks import TaskExample, make_family
 from iclattn.training import EvalResult, TrainConfig, batch_loss, sample_batch
@@ -101,10 +101,12 @@ def test_criterion_2_permutation_invariance(capsys):
     for i in range(50):
         ep = family.sample_episode(5, 1000 + i)
         perm = tuple(rng.permutation(len(ep.demos)))
-        a = fused_predict(model, ep.demos, ep.test, ep.test.options,
-                          FusionPlan(), l_max=8)
-        b = fused_predict(model, [ep.demos[p] for p in perm], ep.test,
-                          ep.test.options, FusionPlan(), l_max=8)
+        a = int(np.argmax(fused_logprobs(model, ep.demos, ep.test,
+                                         ep.test.options, FusionPlan(),
+                                         l_max=8)))
+        b = int(np.argmax(fused_logprobs(model, [ep.demos[p] for p in perm],
+                                         ep.test, ep.test.options,
+                                         FusionPlan(), l_max=8)))
         same = same and a == b
     elapsed = time.monotonic() - t0
     report(capsys, "2 permutation invariance", ok and same and elapsed < 30,
@@ -125,8 +127,9 @@ def test_order_sensitivity_of_full_model(capsys, trained_models):
     for i in range(200):
         ep = family.sample_episode(8, 9_000_000 + i)
         perm = rng.permutation(len(ep.demos))
-        a, b = (fused_predict(model, demos, ep.test, ep.test.options,
-                              FusionPlan(), l_max=8)
+        a, b = (int(np.argmax(fused_logprobs(model, demos, ep.test,
+                                             ep.test.options, FusionPlan(),
+                                             l_max=8)))
                 for demos in (ep.demos, [ep.demos[p] for p in perm]))
         flips += int(a != b)
     with capsys.disabled():
@@ -171,9 +174,18 @@ def test_criterion_4_scaling_benchmark(capsys):
     elapsed = time.monotonic() - t0
     ok = (0.8 <= s_slope <= 1.3 and f_slope >= 1.6 and speedup >= 2.0
           and elapsed < 600)
+
+    def median(variant, k):
+        r = by[(variant, k)]
+        return "oom" if r.oom else f"{r.median_ms:.3g}"
+
+    # every cell's median, so a slope near its bound shows the slow cell
+    medians = ", ".join(f"k={k} {median('structured', k)}/{median('full', k)}"
+                        for k in spec.k_grid)
     report(capsys, "4 scaling benchmark", ok,
            f"slopes structured {s_slope:.2f} / full {f_slope:.2f}, "
-           f"speedup {speedup:.1f}x at k={mutual}, {elapsed:.0f}s")
+           f"speedup {speedup:.1f}x at k={mutual}, {elapsed:.0f}s; median ms "
+           f"structured/full {medians}")
 
 
 def test_criterion_5_gradient_checks(capsys):

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iclattn.fusion import (TOKENS_PER_DEMO_BUDGET, FusionPlan, PackingError,
-                            PromptPack, fused_logprobs, fused_predict,
+                            PromptPack, batch_scores, fused_logprobs,
                             group_fid_encode, pack_prompt, split_groups)
 from iclattn.model import EncoderDecoder, ModelConfig
-from iclattn.tasks import TaskExample
+from iclattn.tasks import Episode, TaskExample
 
 
 def demo(x, y):
@@ -31,16 +31,17 @@ def small_model(variant="structured", seed=0):
 
 
 class TestPromptPack:
-    def test_rejects_bad_format(self):
-        with pytest.raises(ValueError):
-            PromptPack(((2,),), (3,), (4,), "both")
-
     def test_rejects_empty_test_segment(self):
         with pytest.raises(ValueError, match="test segment must be non-empty"):
-            PromptPack(((2,),), (), (4,), "direct")
+            PromptPack(((2,),), ())
 
 
 class TestPackPrompt:
+    def test_rejects_bad_format(self):
+        with pytest.raises(ValueError, match="unknown prompt format 'both'"):
+            pack_prompt(make_demos(1, 2), demo([2], [3]), k=1, l_max=8,
+                        fmt="both")
+
     def test_budget_admits_ten_of_sixteen(self):
         """100-token demos against a 64*16 = 1024 token budget: ten fit
         (1000 <= 1024 < 1100), and 10 lies in [16/4, 16]."""
@@ -78,11 +79,18 @@ class TestPackPrompt:
             pack_prompt(make_demos(1, 2), demo([2], [3]), k=1, l_max=0)
 
     def test_channel_order(self):
+        """Channel prompts put y_i before x_i and end with y_test, and
+        `batch_scores` scores x_test after them."""
         pack = pack_prompt([demo([2, 3], [4])], demo([5], [6]), k=1,
                            l_max=8, fmt="channel")
         assert pack.demo_segments[0] == (4, 2, 3)   # y_i then x_i
         assert pack.test_segment == (6,)            # y_test in the prompt
-        assert pack.score_tokens == (5,)            # x_test is scored
+        m = small_model()
+        ep = Episode([demo([2, 3], [4])], demo([5], [6]))
+        scores = batch_scores(m, [ep], [[(6,)]], k=1, l_max=8, fmt="channel")
+        assert scores.data.shape == (1, 1)
+        x_test = m.sequence_logprob(*m.encode(pack), [5])   # x_test is scored
+        np.testing.assert_array_equal(scores.data[0], x_test.data)
 
     @given(
         k=st.integers(1, 32),
@@ -227,8 +235,9 @@ class TestFusedScoring:
     def test_tie_break_lowest_index(self, scheme):
         m = small_model()
         m.params["out"].data[:] = 0.0
-        assert fused_predict(m, self.demos, self.test, [(5,), (6,), (7,)],
-                             PLANS[scheme], l_max=8) == 0
+        assert int(np.argmax(fused_logprobs(
+            m, self.demos, self.test, [(5,), (6,), (7,)], PLANS[scheme],
+            l_max=8))) == 0
 
     @pytest.mark.parametrize("scheme", sorted(PLANS))
     def test_channel_scores_differ_from_direct(self, scheme):
@@ -250,10 +259,9 @@ class TestFusedScoring:
 
     @pytest.mark.parametrize("scheme", sorted(PLANS))
     def test_no_candidates_rejected(self, scheme):
-        for score in (fused_logprobs, fused_predict):
-            with pytest.raises(ValueError, match="need at least one candidate"):
-                score(small_model(), self.demos, self.test, [],
-                      PLANS[scheme], l_max=8)
+        with pytest.raises(ValueError, match="need at least one candidate"):
+            fused_logprobs(small_model(), self.demos, self.test, [],
+                           PLANS[scheme], l_max=8)
 
     @pytest.mark.parametrize("scheme", sorted(PLANS))
     def test_channel_candidate_outside_options_scored(self, scheme):

@@ -20,9 +20,10 @@ from iclattn.training import (Adam, TrainConfig, batch_loss, sample_batch,
                               train_step)
 
 
-def make_pack(demos, test, score, fmt="direct"):
-    return PromptPack(tuple(tuple(d) for d in demos), tuple(test),
-                      tuple(score), fmt)
+def make_pack(demos, test, cont):
+    """The pack of `demos` and `test`, and the continuation `cont` to
+    score after it."""
+    return PromptPack(tuple(tuple(d) for d in demos), tuple(test)), tuple(cont)
 
 
 def small_model(variant="structured", seed=0, **kw):
@@ -56,14 +57,14 @@ class TestConfig:
 class TestEncode:
     def test_output_shape(self):
         m = small_model()
-        pack = make_pack([(2, 3), (4, 5)], (6, 7), (8,))
+        pack, _ = make_pack([(2, 3), (4, 5)], (6, 7), (8,))
         states, key_valid = m.encode(pack)
         assert states.data.shape == (1, 6, 16)
         assert key_valid.shape == (6,) and key_valid.all()
 
     def test_vocab_overflow(self):
         m = small_model()
-        pack = make_pack([(2, 99)], (3,), (4,))
+        pack, _ = make_pack([(2, 99)], (3,), (4,))
         with pytest.raises(VocabularyOverflowError):
             m.encode(pack)
 
@@ -72,14 +73,14 @@ class TestEncode:
         structured bias covers the whole (single) segment, so both variants
         compute the same function."""
         seed = 5
-        pack = make_pack([], (2, 3, 4, 5), (6,))
+        pack, _ = make_pack([], (2, 3, 4, 5), (6,))
         s = small_model("structured", seed=seed).encode(pack)[0].data
         f = small_model("full", seed=seed).encode(pack)[0].data
         assert np.abs(s - f).max() <= 1e-12
 
     def test_deterministic(self):
         m = small_model()
-        pack = make_pack([(2, 3)], (4, 5), (6,))
+        pack, _ = make_pack([(2, 3)], (4, 5), (6,))
         a = m.encode(pack)[0].data
         b = m.encode(pack)[0].data
         np.testing.assert_array_equal(a, b)
@@ -89,7 +90,7 @@ class TestEncode:
         positions only matter as keys, and those keys are blocked in both
         encoder self-attention and decoder cross-attention."""
         m = small_model()
-        pack = make_pack([(2, 3, 4), (5, 6)], (7, 8, 9), (10,))
+        pack, _ = make_pack([(2, 3, 4), (5, 6)], (7, 8, 9), (10,))
         assert pack.padded_tokens()[5] == PAD_ID
         before = m.batch_logprobs(*m.encode_batch([pack]), [(10,), (11,)])
         m.params["embed"].data[PAD_ID] += 100.0
@@ -101,13 +102,15 @@ class TestEncode:
 # a demonstration token for the encoders, a continuation token for the
 # decoders.
 ENTRIES = {
-    "encode": lambda m, t: m.encode(make_pack([(2, t)], (4,), (5,))),
+    "encode": lambda m, t: m.encode(make_pack([(2, t)], (4,), (5,))[0]),
     "encode_batch": lambda m, t: m.encode_batch(
-        [make_pack([(2, 3)], (4,), (5,)), make_pack([(2, t)], (4,), (5,))]),
+        [make_pack([(2, 3)], (4,), (5,))[0],
+         make_pack([(2, t)], (4,), (5,))[0]]),
     "sequence_logprob": lambda m, t: m.sequence_logprob(
-        *m.encode(make_pack([(2, 3)], (4,), (5,))), [5, t]),
+        *m.encode(make_pack([(2, 3)], (4,), (5,))[0]), [5, t]),
     "batch_logprobs": lambda m, t: m.batch_logprobs(
-        *m.encode_batch([make_pack([(2, 3)], (4,), (5,))]), [[5, 6], [5, t]]),
+        *m.encode_batch([make_pack([(2, 3)], (4,), (5,))[0]]),
+        [[5, 6], [5, t]]),
 }
 
 
@@ -127,10 +130,10 @@ class TestTokenRange:
 class TestDecode:
     def test_empty_continuation_rejected(self):
         m = small_model()
-        states, key_valid = m.encode(make_pack([], (2,), (3,)))
+        states, key_valid = m.encode(make_pack([], (2,), (3,))[0])
         with pytest.raises(ValueError, match="non-empty"):
             m.sequence_logprob(states, key_valid, ())
-        states, key_valid = m.encode_batch([make_pack([], (2,), (3,))])
+        states, key_valid = m.encode_batch([make_pack([], (2,), (3,))[0]])
         with pytest.raises(ValueError, match="non-empty"):
             m.batch_logprobs(states, key_valid, [[]])
 
@@ -142,7 +145,8 @@ class TestDecode:
         cfg = ModelConfig(vocab=6, d_model=16, heads=2, enc_layers=2,
                           dec_layers=2, ffn=32)
         m = EncoderDecoder(cfg, seed=1)
-        states, key_valid = m.encode_batch([make_pack([(2, 3)], (4,), (5,))])
+        pack, _ = make_pack([(2, 3)], (4,), (5,))
+        states, key_valid = m.encode_batch([pack])
         conts = list(itertools.product(range(6), repeat=3))
         lp = m.batch_logprobs(states, key_valid, conts).data
         assert lp.shape == (216,)
@@ -153,7 +157,7 @@ class TestDecode:
         log-probability is -|y| * log(vocab)."""
         m = small_model()
         m.params["out"].data[:] = 0.0
-        enc = m.encode(make_pack([(2,)], (3,), (4,)))
+        enc = m.encode(make_pack([(2,)], (3,), (4,))[0])
         lp = m.sequence_logprob(*enc, (5, 6, 7)).item()
         assert lp == pytest.approx(-3 * math.log(32), abs=1e-9)
 
@@ -161,8 +165,8 @@ class TestDecode:
 class TestBatchedPath:
     def test_encode_batch_matches_single(self):
         m = small_model()
-        packs = [make_pack([(2, 3), (4, 5)], (6, 7), (8,)),
-                 make_pack([(9, 10), (11, 12)], (13, 14), (15,))]
+        packs = [make_pack([(2, 3), (4, 5)], (6, 7), (8,))[0],
+                 make_pack([(9, 10), (11, 12)], (13, 14), (15,))[0]]
         states, key_valid = m.encode_batch(packs)
         for i, pack in enumerate(packs):
             single, single_valid = m.encode(pack)
@@ -172,26 +176,23 @@ class TestBatchedPath:
     def test_batch_logprob_matches_single(self):
         """The single-prompt entries and the batched entries run the same
         encoder and decoder bodies, so they agree exactly."""
-        for variant, fmt in itertools.product(("structured", "full"),
-                                              ("direct", "channel")):
+        for variant in ("structured", "full"):
             m = small_model(variant)
-            packs = [make_pack([(2, 3)], (4, 5), (6, 7), fmt),
-                     make_pack([(8, 9)], (10, 11), (12, 13), fmt)]
+            packs, conts = zip(make_pack([(2, 3)], (4, 5), (6, 7)),
+                               make_pack([(8, 9)], (10, 11), (12, 13)))
             states, key_valid = m.encode_batch(packs)
-            lp = m.batch_logprobs(states, key_valid,
-                                  [p.score_tokens for p in packs])
-            singles = [
-                m.sequence_logprob(*m.encode(p), p.score_tokens).item()
-                for p in packs]
-            assert lp.data.tolist() == singles, (variant, fmt)
-            assert tz.tsum(lp).item() == sum(singles), (variant, fmt)
+            lp = m.batch_logprobs(states, key_valid, conts)
+            singles = [m.sequence_logprob(*m.encode(p), c).item()
+                       for p, c in zip(packs, conts)]
+            assert lp.data.tolist() == singles, variant
+            assert tz.tsum(lp).item() == sum(singles), variant
 
     def test_batch_logprobs_are_episode_major(self):
         """Continuation i*C + c is scored against episode i: permuting the
         episodes permutes the scores in blocks of C."""
         m = small_model()
-        packs = [make_pack([(2, 3)], (4, 5), (6,)),
-                 make_pack([(8, 9)], (10, 11), (12,))]
+        packs = [make_pack([(2, 3)], (4, 5), (6,))[0],
+                 make_pack([(8, 9)], (10, 11), (12,))[0]]
         conts = [[6, 7], [12, 13], [14, 15]]
         states, key_valid = m.encode_batch(packs)
         lp = m.batch_logprobs(states, key_valid, conts * 2).data
@@ -206,8 +207,8 @@ class TestBatchedPath:
 
     def test_continuations_must_split_over_episodes(self):
         m = small_model()
-        packs = [make_pack([(2, 3)], (4, 5), (6,)),
-                 make_pack([(8, 9)], (10, 11), (12,))]
+        packs = [make_pack([(2, 3)], (4, 5), (6,))[0],
+                 make_pack([(8, 9)], (10, 11), (12,))[0]]
         states, key_valid = m.encode_batch(packs)
         with pytest.raises(ContinuationCountError, match="3 continuations"):
             m.batch_logprobs(states, key_valid, [[6], [7], [8]])
@@ -235,8 +236,8 @@ def _ragged_episode(a, b, c, d):
 def _no_demo_case():
     """k=0 prompts. `batch_loss` needs a demonstration, so the loss is
     the summed scores."""
-    packs = [make_pack([], (2, 3, 4, 5), (6,)),
-             make_pack([], (7, 8, 9, 2), (10,))]
+    packs = [make_pack([], (2, 3, 4, 5), (6,))[0],
+             make_pack([], (7, 8, 9, 2), (10,))[0]]
     conts = [[6], [10], [6], [10]]
     return packs, conts, lambda m: tz.tsum(
         m.batch_logprobs(*m.encode_batch(packs), conts))
@@ -334,7 +335,7 @@ class TestCheckpoint:
         path = os.path.join(tmp_path, "ckpt.npz")
         m.save(path)
         m2 = EncoderDecoder.load(path)
-        pack = make_pack([(2, 3), (4, 5)], (6,), (7,))
+        pack, _ = make_pack([(2, 3), (4, 5)], (6,), (7,))
         cands = [(7,), (8,), (9,)]
         np.testing.assert_array_equal(
             m.batch_logprobs(*m.encode_batch([pack]), cands).data,
@@ -357,7 +358,7 @@ class TestCheckpoint:
         for name, p in m2.parameters().items():
             assert p.data.dtype == np.float32, name
         assert m2.weight_fingerprint() == m.weight_fingerprint()
-        pack = make_pack([(2, 3), (4, 5)], (6,), (7,))
+        pack, _ = make_pack([(2, 3), (4, 5)], (6,), (7,))
         cands = [(7,), (8,), (9,)]
         np.testing.assert_array_equal(
             m.batch_logprobs(*m.encode_batch([pack]), cands).data,

@@ -6,13 +6,15 @@ import pytest
 
 from iclattn import tensor as tz
 from iclattn import training
-from iclattn.fusion import pack_prompt
-from iclattn.model import EncoderDecoder, ModelConfig
-from iclattn.tasks import ARITY, CopyOffsetFamily, LookupFamily
-from iclattn.training import (BETA1, BETA2, EPS, Adam, NonFiniteGradientError,
-                              NonFiniteLossError, TrainConfig, batch_loss,
-                              evaluate, lr_schedule, make_optimizer,
-                              sample_batch, train, train_step)
+from iclattn.fusion import (FORMATS, FusionPlan, batch_scores, fused_logprobs,
+                            pack_prompt)
+from iclattn.model import DENSE_MAX_T, EncoderDecoder, ModelConfig
+from iclattn.tasks import (ARITY, FAMILIES, CopyOffsetFamily, LookupFamily,
+                           make_family)
+from iclattn.training import (BETA1, BETA2, EPS, EVAL_CHUNK, Adam,
+                              NonFiniteGradientError, NonFiniteLossError,
+                              TrainConfig, batch_loss, evaluate, lr_schedule,
+                              make_optimizer, sample_batch, train, train_step)
 
 
 def tiny_model(seed=0, variant="structured"):
@@ -147,7 +149,7 @@ class TestBatchLoss:
             pack = pack_prompt(ep.demos, ep.test, k=cfg.train_k,
                                l_max=cfg.l_max, fmt="channel")
             nll = tz.scale(model.sequence_logprob(*model.encode(pack),
-                                                   pack.score_tokens), -1.0)
+                                                   ep.test.x), -1.0)
             total = nll if total is None else tz.add(total, nll)
         ref = tz.scale(total, 1.0 / len(eps))
         tz.backward(ref)
@@ -481,6 +483,12 @@ class TestTrainLoop:
         assert np.mean(hist[-5:]) < np.mean(hist[:5]) + 0.05
 
 
+# (family, k) of the batched-evaluation cases. Lookup at k=32 (T=66)
+# runs the structured encoder's key-major node; the rest its dense route.
+EVAL_CASES = {"lookup-k8": ("lookup", 8), "lookup-k32": ("lookup", 32),
+              "linear": ("linear", 8), "copy": ("copy", 4)}
+
+
 class TestEvaluate:
     def test_deterministic(self):
         fam = LookupFamily()
@@ -494,6 +502,67 @@ class TestEvaluate:
         model = tiny_model(seed=2)
         r = evaluate(model, fam, 4, episodes=50, seeds=(0, 1, 2))
         assert 0.0 <= r.mean <= 0.6  # loose: untrained should be near 1/4
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("variant", ["structured", "full"])
+    @pytest.mark.parametrize("case", list(EVAL_CASES))
+    def test_single_plan_matches_per_episode_scores(self, case, variant, fmt,
+                                                    monkeypatch):
+        """The single plan scores chunks of `EVAL_CHUNK` prompts through
+        `batch_scores`. On fresh float64 weights its scores agree with
+        per-episode `fused_logprobs` within 1e-12, not bit for bit: the
+        decoder folds an episode's candidates into one product. Its
+        predictions and accuracy are identical. 21 episodes fill no whole
+        number of chunks, in either format."""
+        name, k = EVAL_CASES[case]
+        family = make_family(name)
+        model = tiny_model(variant=variant)
+        assert model.params["embed"].data.dtype == np.float64
+        chunks = []
+
+        def spy(*args, **kwargs):
+            scores = batch_scores(*args, **kwargs)
+            chunks.append(scores.data)
+            return scores
+
+        monkeypatch.setattr(training, "batch_scores", spy)
+        result = evaluate(model, family, k, episodes=21, seeds=(3,), fmt=fmt)
+        eps = [family.sample_episode(k, 3 * 1_000_003 + i) for i in range(21)]
+        T = pack_prompt(eps[0].demos, eps[0].test, k, 8,
+                        fmt).layout().total_length
+        assert (T > DENSE_MAX_T) == (case == "lookup-k32"), T
+        per = len(eps[0].test.options) if fmt == "channel" else 1
+        prompts = [len(c) * per for c in chunks]
+        assert prompts[:-1] == [EVAL_CHUNK] * (len(chunks) - 1)
+        assert 0 < prompts[-1] < EVAL_CHUNK
+        got = np.concatenate(chunks)
+        ref = np.array([fused_logprobs(model, ep.demos, ep.test,
+                                       ep.test.options, FusionPlan(), 8, fmt)
+                        for ep in eps])
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12
+        preds = np.argmax(got, axis=1)
+        np.testing.assert_array_equal(preds, np.argmax(ref, axis=1))
+        hits = sum(list(ep.test.options[p]) == list(ep.test.y)
+                   for ep, p in zip(eps, preds))
+        assert result.per_seed == [hits / 21]
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("k", [1, 8, 32])
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_every_family_scores_in_one_batch(self, name, k, fmt):
+        """`evaluate` hands `batch_scores` chunks of episodes, which must
+        pack to one layout with one number of continuations of one
+        length. Every family's episodes do, at l_max 8: one call takes
+        twelve of them."""
+        family = make_family(name)
+        eps = [family.sample_episode(k, 1_000_003 * s + i)
+               for s in range(3) for i in range(4)]
+        C = len(eps[0].test.options)
+        scores = batch_scores(tiny_model(), eps,
+                              [ep.test.options for ep in eps], k, 8, fmt)
+        assert scores.data.shape == (12, C)
+        assert np.isfinite(scores.data).all()
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
