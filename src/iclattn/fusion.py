@@ -9,7 +9,8 @@ token length within 64*k.
 Fusion schemes: single prompt, FiD (one demonstration per independently
 encoded prompt, encoder states concatenated for the decoder), Group-FiD
 (G multi-demonstration prompts, concatenated), and ensemble (per-group
-logits averaged).
+logits averaged). Each is a list of runs of groups (`FusionPlan.runs`),
+and every scorer reads the prompt format through `prompts` alone.
 """
 
 from __future__ import annotations
@@ -78,6 +79,15 @@ class FusionPlan:
         if self.scheme in ("single", "fid") and self.groups != 1:
             raise ValueError(f"{self.scheme} scheme requires groups == 1")
 
+    def runs(self, n):
+        """(demonstration indices, group count) of each encoding whose
+        scores the plan averages over n demonstrations: single, FiD and
+        Group-FiD are one run of 1, n and G groups; ensemble is G runs of
+        one group."""
+        if self.scheme == "ensemble":
+            return [(part, 1) for part in split_groups(n, self.groups)]
+        return [(list(range(n)), n if self.scheme == "fid" else self.groups)]
+
 
 def pack_prompt(demos, test, k, l_max, fmt="direct"):
     """Truncate each sample to l_max tokens, then admit demonstrations
@@ -107,31 +117,34 @@ def pack_prompt(demos, test, k, l_max, fmt="direct"):
     return PromptPack(tuple(admitted), tuple(test_seg))
 
 
+def prompts(test, candidates, fmt="direct"):
+    """(test example, continuations) of each prompt that scores
+    `candidates`: in direct format one prompt, which scores every
+    candidate after x_test; in channel format one prompt per candidate,
+    the candidate in y_test's place, which scores x_test."""
+    if fmt == "channel":
+        return [(TaskExample(test.x, c), [test.x]) for c in candidates]
+    return [(test, candidates)]
+
+
 def batch_scores(model, episodes, candidates, k, l_max, fmt="direct"):
     """(B, C) log-probabilities of each of B episodes' C candidates, from
-    one `encode_batch` and one `batch_logprobs`: direct format scores the
-    candidates after one prompt per episode; channel format scores x_test
-    after one prompt per candidate, the candidate in y_test's place.
-    Raises ValueError, before any encoder pass, unless every episode has
-    the same number of continuations, all of one length, and the prompts
-    share one layout."""
-    if fmt == "channel":
-        prompts = [(ep.demos, TaskExample(ep.test.x, c))
-                   for ep, cs in zip(episodes, candidates) for c in cs]
-        candidates = [[ep.test.x] * len(cs)
-                      for ep, cs in zip(episodes, candidates)]
-    else:
-        prompts = [(ep.demos, ep.test) for ep in episodes]
-    if (len({len(cs) for cs in candidates}) != 1
-            or len({len(c) for cs in candidates for c in cs}) != 1):
+    one `encode_batch` over the episodes' `prompts` and one
+    `batch_logprobs` over their continuations. Raises ValueError, before
+    any encoder pass, unless every episode has the same number of
+    continuations, all of one length, and the prompts share one layout."""
+    per_ep = [(ep.demos, prompts(ep.test, cands, fmt))
+              for ep, cands in zip(episodes, candidates)]
+    conts = [[c for _, cs in ps for c in cs] for _, ps in per_ep]
+    if (len({len(cs) for cs in conts}) != 1
+            or len({len(c) for cs in conts for c in cs}) != 1):
         raise ValueError("batch_scores needs the same number of "
                          "continuations, all of one length, in every episode")
     # encode_batch rejects differing layouts before it encodes
     states, key_valid = model.encode_batch(
-        [pack_prompt(d, t, k, l_max, fmt) for d, t in prompts])
-    lp = model.batch_logprobs(states, key_valid,
-                              [c for cs in candidates for c in cs])
-    return reshape(lp, (len(candidates), len(candidates[0])))
+        [pack_prompt(d, t, k, l_max, fmt) for d, ps in per_ep for t, _ in ps])
+    lp = model.batch_logprobs(states, key_valid, [c for cs in conts for c in cs])
+    return reshape(lp, (len(conts), len(conts[0])))
 
 
 def split_groups(n, groups):
@@ -154,33 +167,19 @@ def group_fid_encode(model, demos, test, groups, l_max, fmt="direct"):
 
 
 def fused_logprobs(model, demos, test, candidates, plan, l_max, fmt="direct"):
-    """Per-candidate log-probability scores under a fusion plan. Single,
-    FiD and Group-FiD encode the demonstrations in 1, len(demos) and G
-    groups; ensemble averages the one-group scores of its G groups."""
+    """Per-candidate log-probability scores under a fusion plan: the mean,
+    over the plan's runs, of the scores with the run's demonstrations
+    encoded in its groups, one encoding per prompt of `prompts`."""
     if len(demos) == 0:
         raise PackingError("need at least one demonstration")
     if len(candidates) == 0:
         raise ValueError("need at least one candidate")
-    if plan.scheme == "ensemble":
-        per_group = [_group_logprobs(model, [demos[i] for i in part], test,
-                                     candidates, 1, l_max, fmt)
-                     for part in split_groups(len(demos), plan.groups)]
-        # mean of log-probabilities, fixed summation order
-        return np.mean(np.stack(per_group, axis=0), axis=0)
-    groups = len(demos) if plan.scheme == "fid" else plan.groups
-    return _group_logprobs(model, demos, test, candidates, groups, l_max, fmt)
-
-
-def _group_logprobs(model, demos, test, candidates, groups, l_max, fmt):
-    """Scores with the demonstrations encoded in `groups` groups. Channel
-    puts each candidate in y_test's place and scores x_test."""
-    if fmt == "direct":
-        enc = group_fid_encode(model, demos, test, groups, l_max, fmt)
-        return np.array([model.sequence_logprob(*enc, list(c)).item()
-                         for c in candidates])
     scores = []
-    for c in candidates:
-        cand_test = TaskExample(list(test.x), list(c))
-        enc = group_fid_encode(model, demos, cand_test, groups, l_max, fmt)
-        scores.append(model.sequence_logprob(*enc, list(test.x)).item())
-    return np.array(scores)
+    for part, groups in plan.runs(len(demos)):
+        for t, conts in prompts(test, candidates, fmt):
+            enc = group_fid_encode(model, [demos[i] for i in part], t, groups,
+                                   l_max, fmt)
+            scores += [model.sequence_logprob(*enc, list(c)).item()
+                       for c in conts]
+    # mean over the runs in a fixed order; one run divides by 1, exactly
+    return np.mean(np.reshape(scores, (-1, len(candidates))), axis=0)

@@ -94,10 +94,6 @@ def _param(rng, shape, std=None):
     return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
 
 
-def _ln_params(d):
-    return Tensor(np.ones(d), requires_grad=True), Tensor(np.zeros(d), requires_grad=True)
-
-
 class EncoderDecoder:
     def __init__(self, config, seed=0):
         self.config = config
@@ -135,7 +131,8 @@ class EncoderDecoder:
             p[f"{prefix}.b2"] = Tensor(np.zeros(d), requires_grad=True)
 
         def ln(prefix):
-            p[f"{prefix}.g"], p[f"{prefix}.b"] = _ln_params(d)
+            p[f"{prefix}.g"] = Tensor(np.ones(d), requires_grad=True)
+            p[f"{prefix}.b"] = Tensor(np.zeros(d), requires_grad=True)
 
         for i in range(config.enc_layers):
             ln(f"enc.{i}.ln1"); attn_block(f"enc.{i}.attn")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .fusion import FORMATS, FusionPlan, batch_scores, fused_logprobs
+from .fusion import FORMATS, FusionPlan, batch_scores, fused_logprobs, prompts
 
 
 class NonFiniteLossError(RuntimeError):
@@ -203,12 +203,12 @@ def grad_norm(params):
 
 def clip_gradients(params, max_norm):
     """Scale all gradients so their global norm is at most max_norm.
-    Returns the norm before scaling; a non-finite norm leaves the
-    gradients as they are. Gradients may share arrays, so each one is
-    rebound to a scaled copy rather than scaled in place, in its own
-    dtype."""
+    Returns the norm before scaling; max_norm 0 (clipping off) or a
+    non-finite norm leaves the gradients as they are. Gradients may share
+    arrays, so each one is rebound to a scaled copy rather than scaled in
+    place, in its own dtype."""
     norm = grad_norm(params)
-    if np.isfinite(norm) and norm > max_norm:
+    if max_norm > 0 and np.isfinite(norm) and norm > max_norm:
         factor = float(max_norm / norm)
         for p in params.values():
             if p.grad is not None:
@@ -229,11 +229,7 @@ def train_step(model, optimizer, episodes, lr, cfg):
     if not np.isfinite(value):
         raise NonFiniteLossError(f"loss became non-finite: {value}")
     tz.backward(loss)
-    params = model.parameters()
-    if cfg.grad_clip > 0:
-        norm = clip_gradients(params, cfg.grad_clip)
-    else:
-        norm = grad_norm(params)
+    norm = clip_gradients(model.parameters(), cfg.grad_clip)
     if not np.isfinite(norm):
         raise NonFiniteGradientError(f"gradient norm became non-finite: {norm}")
     optimizer.step(lr)
@@ -278,8 +274,8 @@ class EvalResult:
     std: float
 
 
-# Prompts per `batch_scores` call in `evaluate`'s single plan, where a
-# channel episode takes one per candidate: the grid is in CHANGES.md.
+# Prompts per `batch_scores` call in `evaluate`'s single plan, where an
+# episode takes `len(prompts(...))`: the grid is in CHANGES.md.
 EVAL_CHUNK = 16
 
 
@@ -289,22 +285,29 @@ def evaluate(model, family, test_k, episodes=100, seeds=(0, 1, 2, 3, 4),
     default; ties go to the first candidate) over k = test_k
     demonstrations, averaged over demonstration seeds. The single plan
     scores `EVAL_CHUNK` prompts, of one layout, per `batch_scores` call.
-    Deterministic given (model, family, seeds, plan)."""
+    No tape is recorded: every parameter's `requires_grad` is off until
+    it returns or raises. Deterministic given (model, family, seeds, plan)."""
+    saved = [(p, p.requires_grad) for p in model.parameters().values()]
+    for p, _ in saved:
+        p.requires_grad = False
     accs = []
-    for seed in seeds:
-        eps = [family.sample_episode(test_k, seed * 1_000_003 + i)
-               for i in range(episodes)]
-        if plan.scheme == "single":
-            per = len(eps[0].test.options) if fmt == "channel" else 1
-            n = max(1, EVAL_CHUNK // per)
-            preds = np.concatenate([np.argmax(batch_scores(
-                model, eps[i:i + n], [ep.test.options for ep in eps[i:i + n]],
-                test_k, l_max, fmt).data, axis=1)
-                for i in range(0, episodes, n)])
-        else:
-            preds = [np.argmax(fused_logprobs(model, ep.demos, ep.test,
-                                              ep.test.options, plan, l_max,
-                                              fmt)) for ep in eps]
-        accs.append(sum(list(ep.test.options[p]) == list(ep.test.y)
-                        for ep, p in zip(eps, preds)) / episodes)
+    try:
+        for seed in seeds:
+            eps = [family.sample_episode(test_k, seed * 1_000_003 + i)
+                   for i in range(episodes)]
+            opts = [ep.test.options for ep in eps]
+            if plan.scheme == "single":
+                n = max(1, EVAL_CHUNK // len(prompts(eps[0].test, opts[0], fmt)))
+                scores = [batch_scores(model, eps[i:i + n], opts[i:i + n],
+                                       test_k, l_max, fmt).data
+                          for i in range(0, episodes, n)]
+            else:
+                scores = [fused_logprobs(model, ep.demos, ep.test, o, plan,
+                                         l_max, fmt) for ep, o in zip(eps, opts)]
+            preds = np.argmax(np.vstack(scores), axis=1)
+            accs.append(sum(list(o[p]) == list(ep.test.y)
+                            for ep, o, p in zip(eps, opts, preds)) / episodes)
+    finally:
+        for p, flag in saved:
+            p.requires_grad = flag
     return EvalResult(accs, float(np.mean(accs)), float(np.std(accs)))

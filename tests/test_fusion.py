@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from iclattn.fusion import (TOKENS_PER_DEMO_BUDGET, FusionPlan, PackingError,
                             PromptPack, batch_scores, fused_logprobs,
-                            group_fid_encode, pack_prompt, split_groups)
+                            group_fid_encode, pack_prompt, prompts,
+                            split_groups)
 from iclattn.model import EncoderDecoder, ModelConfig
-from iclattn.tasks import Episode, TaskExample
+from iclattn.tasks import Episode, TaskExample, make_family
 
 
 def demo(x, y):
@@ -141,6 +142,67 @@ class TestFusionPlan:
     def test_zero_groups_rejected(self):
         with pytest.raises(ValueError, match="groups must be >= 1"):
             FusionPlan(groups=0)
+
+    def test_runs(self):
+        """Single, FiD and Group-FiD are one run over every demonstration
+        in 1, n and G groups; ensemble is G runs of one group."""
+        every = list(range(6))
+        assert FusionPlan("single").runs(6) == [(every, 1)]
+        assert FusionPlan("fid").runs(6) == [(every, 6)]
+        assert FusionPlan("group_fid", 3).runs(6) == [(every, 3)]
+        assert FusionPlan("ensemble", 3).runs(6) == [
+            ([0, 1], 1), ([2, 3], 1), ([4, 5], 1)]
+        with pytest.raises(ValueError, match="groups must lie in"):
+            FusionPlan("ensemble", 7).runs(6)
+
+
+class TestPrompts:
+    test = TaskExample([4, 5], [9], [[9], [10]])
+
+    def test_direct_scores_every_candidate_after_one_prompt(self):
+        cands = [(9,), (10,), (11,)]
+        assert prompts(self.test, cands, "direct") == [(self.test, cands)]
+
+    def test_channel_puts_each_candidate_in_y_test_place(self):
+        """One prompt per candidate, with the candidate as y_test and
+        x_test as the one continuation; the candidate need not be an
+        option."""
+        got = prompts(self.test, [(10,), (11,)], "channel")
+        assert [(list(t.x), list(t.y), t.options, cs) for t, cs in got] == [
+            ([4, 5], [10], None, [[4, 5]]), ([4, 5], [11], None, [[4, 5]])]
+
+
+class TestPassStructure:
+    """Encoder and decoder passes of one lookup episode at k=8 with 4
+    options, G=4: `fused_logprobs` encodes once per run and prompt, and
+    decodes once per continuation."""
+
+    COUNTS = {
+        "direct": {"single": (1, 4), "fid": (8, 4), "group_fid": (4, 4),
+                   "ensemble": (4, 16)},
+        "channel": {"single": (4, 4), "fid": (32, 4), "group_fid": (16, 4),
+                    "ensemble": (16, 16)},
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(COUNTS))
+    @pytest.mark.parametrize("scheme", sorted(PLANS))
+    def test_pass_counts(self, scheme, fmt, monkeypatch):
+        calls = {"encode": 0, "sequence_logprob": 0}
+        for name in calls:
+            real = getattr(EncoderDecoder, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(EncoderDecoder, name, counted)
+        ep = make_family("lookup").sample_episode(8, 0)
+        assert len(ep.test.options) == 4
+        plan = FusionPlan(scheme, 1 if scheme in ("single", "fid") else 4)
+        scores = fused_logprobs(small_model(), ep.demos, ep.test,
+                                ep.test.options, plan, l_max=8, fmt=fmt)
+        assert scores.shape == (4,)
+        assert (calls["encode"], calls["sequence_logprob"]) == \
+            self.COUNTS[fmt][scheme]
 
 
 class TestDegeneracies:

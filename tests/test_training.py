@@ -6,15 +6,16 @@ import pytest
 
 from iclattn import tensor as tz
 from iclattn import training
-from iclattn.fusion import (FORMATS, FusionPlan, batch_scores, fused_logprobs,
-                            pack_prompt)
+from iclattn.fusion import (FORMATS, FusionPlan, PackingError, batch_scores,
+                            fused_logprobs, pack_prompt)
 from iclattn.model import DENSE_MAX_T, EncoderDecoder, ModelConfig
 from iclattn.tasks import (ARITY, FAMILIES, CopyOffsetFamily, LookupFamily,
                            make_family)
 from iclattn.training import (BETA1, BETA2, EPS, EVAL_CHUNK, Adam,
                               NonFiniteGradientError, NonFiniteLossError,
-                              TrainConfig, batch_loss, evaluate, lr_schedule,
-                              make_optimizer, sample_batch, train, train_step)
+                              TrainConfig, batch_loss, clip_gradients,
+                              evaluate, grad_norm, lr_schedule, make_optimizer,
+                              sample_batch, train, train_step)
 
 
 def tiny_model(seed=0, variant="structured"):
@@ -304,6 +305,20 @@ class TestTrainStep:
         assert model.weight_fingerprint() == before
         assert opt.t == 0
 
+    def test_clip_off_returns_norm_and_leaves_gradients(self):
+        """`clip_gradients` with max_norm 0 is clipping off: it returns
+        the global norm and rebinds no gradient."""
+        model = tiny_model()
+        cfg = tiny_cfg(batch_size=2, train_k=2)
+        eps = sample_batch(LookupFamily(), 2, 2, np.random.default_rng(0))
+        tz.backward(batch_loss(model, eps, cfg))
+        params = model.parameters()
+        grads = {n: p.grad for n, p in params.items()}
+        norm = grad_norm(params)
+        assert norm > 0  # any ceiling in (0, norm) would rescale
+        assert clip_gradients(params, 0.0) == norm
+        assert all(params[n].grad is g for n, g in grads.items())
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_loss_raises_before_update(self, monkeypatch, bad):
         model = tiny_model()
@@ -563,6 +578,50 @@ class TestEvaluate:
                               [ep.test.options for ep in eps], k, 8, fmt)
         assert scores.data.shape == (12, C)
         assert np.isfinite(scores.data).all()
+
+
+class TestEvaluateWithoutTape:
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_scores_carry_no_tape(self, fmt, monkeypatch):
+        """`evaluate` scores with every parameter's `requires_grad` off,
+        so the scores it reads record no tape, and each flag comes back
+        afterwards. Forward arithmetic does not read the flag: a run
+        that records the tape reads the same `per_seed`."""
+        model, family = tiny_model(), LookupFamily()
+        model.params["embed"].requires_grad = False  # a flag of its own
+        flags = {n: p.requires_grad for n, p in model.parameters().items()}
+        seen = []
+
+        def spy(*args, **kwargs):
+            scores = batch_scores(*args, **kwargs)
+            seen.append(scores)
+            return scores
+
+        monkeypatch.setattr(training, "batch_scores", spy)
+        free = evaluate(model, family, 4, episodes=10, seeds=(0, 1), fmt=fmt)
+        assert seen and all(s._backward is None and s._parents == ()
+                            for s in seen)
+        assert {n: p.requires_grad
+                for n, p in model.parameters().items()} == flags
+
+        def tracked(*args, **kwargs):
+            for p in model.parameters().values():
+                p.requires_grad = True
+            scores = batch_scores(*args, **kwargs)
+            assert scores._backward is not None
+            return scores
+
+        monkeypatch.setattr(training, "batch_scores", tracked)
+        taped = evaluate(model, family, 4, episodes=10, seeds=(0, 1), fmt=fmt)
+        assert taped.per_seed == free.per_seed
+
+    @pytest.mark.parametrize("plan", [FusionPlan(), FusionPlan("fid")])
+    def test_flags_come_back_after_an_error(self, plan):
+        model = tiny_model()
+        with pytest.raises(PackingError, match="l_max"):
+            evaluate(model, LookupFamily(), 4, episodes=3, seeds=(0,),
+                     l_max=0, plan=plan)
+        assert all(p.requires_grad for p in model.parameters().values())
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
