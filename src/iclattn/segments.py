@@ -176,12 +176,11 @@ def permute_segments(layout, values, perm, axis=0):
     """Reorder the demonstration blocks of a per-token array along
     `axis`; the trailing test segment stays put."""
     perm = _check_perm(perm, layout.num_demos)
-    arr = values.data if isinstance(values, Tensor) else np.asarray(values)
+    arr = np.asarray(values)
     L = layout.segment_length
     if arr.shape[axis] != layout.total_length:
         raise ValueError(
             f"axis {axis} has extent {arr.shape[axis]}, layout wants {layout.total_length}")
     order = np.concatenate([np.arange(p * L, (p + 1) * L) for p in perm]
                            + [np.arange(layout.num_demos * L, layout.total_length)])
-    out = np.take(arr, order, axis=axis)
-    return Tensor(out) if isinstance(values, Tensor) else out
+    return np.take(arr, order, axis=axis)

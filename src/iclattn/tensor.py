@@ -258,12 +258,8 @@ def contract(spec, a, b):
     la, lb, out = _parse_spec(spec)
     _check_extents(spec, la, lb, a.data, b.data)
     data = np.einsum(spec, a.data, b.data)
-    if data.ndim == 0:
-        data = data.reshape(1)
 
     def back(g):
-        if not out:
-            g = g.reshape(())
         if _tracked(a):
             _accumulate(a, _contract_grad(g, out, b.data, lb, la, a.data.shape))
         if _tracked(b):
@@ -376,15 +372,10 @@ def tsum(x):
 
 
 def sum_last(x):
-    """Sum over the last axis."""
+    """Sum over the last axis: (..., n) -> (...)."""
     data = x.data.sum(axis=-1)
-    if data.ndim == 0:
-        data = data.reshape(1)
     def back(g):
-        if x.data.ndim == 1:
-            _accumulate(x, np.full_like(x.data, g[0]))
-        else:
-            _accumulate(x, np.broadcast_to(g[..., None], x.data.shape))
+        _accumulate(x, np.broadcast_to(g[..., None], x.data.shape))
     return _result(data, (x,), back)
 
 
@@ -437,8 +428,6 @@ def gather_last(x, ids):
     """Pick one entry along the last axis per leading index."""
     ids = np.asarray(ids)
     data = np.take_along_axis(x.data, ids[..., None], axis=-1)[..., 0]
-    if data.ndim == 0:
-        data = data.reshape(1)
     def back(g):
         full = np.zeros_like(x.data)
         np.put_along_axis(full, ids[..., None], g.reshape(ids.shape + (1,)), axis=-1)

@@ -71,10 +71,16 @@ def lr_schedule(step, cfg):
 
 
 # Elements per Adam update chunk. Gradients are gathered, and the update
-# runs, one chunk (or one larger parameter) at a time through three scratch
-# arrays: a whole-buffer gradient copy raised the desk-scale benchmark's
-# peak RSS by 2.9 MB (4.5%), as each of its set-ups holds a model and
-# optimizer. 16384 was the fastest of 4096-32768 for the default model.
+# runs, one chunk (or one larger parameter) at a time through three float64
+# scratch arrays: a whole-buffer gradient copy raised the desk-scale
+# benchmark's peak RSS by 2.9 MB (4.5%), as each of its set-ups holds a
+# model and optimizer. Every update op is elementwise, so any size gives the
+# same bits. On the default model, one BLAS thread, `Adam.step` took
+# 1.23 / 1.20 / 1.21 ms with train-desk's gradients and 1.40 / 1.32 /
+# 1.35 ms with train-long's at 16384 / 32768 / 65536: 32768 was fastest.
+# Their scratch is 384 KiB / 768 KiB / 1.5 MiB per optimizer, against
+# train-desk's 61.7 MB peak RSS. 16384 stays: 32768 would save about
+# 0.03 ms of a 7-9 ms desk step, well inside that benchmark's spread.
 _ADAM_CHUNK = 16384
 # Adam's moment decays and denominator term: Kingma & Ba's defaults.
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8

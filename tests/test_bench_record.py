@@ -3,6 +3,9 @@ tier-1 wall times and the line count of `src/`."""
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -173,3 +176,25 @@ def test_src_lines_are_recorded_and_tabled(tmp_path):
     assert rows[-1] == "| src lines | wc -l | 2544 | 2523 | -0.8% | - | - |"
     del record["src_lines"]
     assert "src lines" not in bench_record.table(record)
+
+
+def test_sigterm_removes_the_base_tree(tmp_path):
+    """After `main` has run, SIGTERM unwinds the process as SystemExit:
+    a child that opens the base tree's temporary directory and sends
+    itself SIGTERM exits non-zero and leaves no directory behind."""
+    record = tmp_path / "BENCH_empty.json"
+    record.write_text('{"summary": {}}')
+    code = (
+        "import importlib.util, os, signal, sys, tempfile, time\n"
+        f"spec = importlib.util.spec_from_file_location('br', {str(_PATH)!r})\n"
+        "br = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(br)\n"
+        "br.main(['--table', sys.argv[1]])\n"
+        "with tempfile.TemporaryDirectory(prefix='bench-base-'):\n"
+        "    os.kill(os.getpid(), signal.SIGTERM)\n"
+        "    time.sleep(30)\n")
+    done = subprocess.run([sys.executable, "-c", code, str(record)],
+                          env=dict(os.environ, TMPDIR=str(tmp_path)),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode != 0
+    assert list(tmp_path.glob("bench-base-*")) == []

@@ -70,6 +70,14 @@ class TestContract:
             tz.contract("ij,jk", Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))))
         with pytest.raises(tz.SpecError):
             tz.contract("iij,jk->ik", Tensor(np.ones((2, 2, 2))), Tensor(np.ones((2, 2))))
+        with pytest.raises(tz.SpecError, match="two operands"):
+            tz.contract("i,i,i->i", Tensor(np.ones(2)), Tensor(np.ones(2)))
+        with pytest.raises(tz.SpecError, match="invalid output"):
+            tz.contract("ij,jk->iz", Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))))
+
+    def test_rank_mismatch(self):
+        with pytest.raises(tz.ShapeMismatchError, match="expects ranks"):
+            tz.contract("ij,jk->ik", Tensor(np.ones(2)), Tensor(np.ones((2, 2))))
 
     def test_axis_summed_out_of_one_operand_gradients(self):
         # `i` is summed out of `a` alone, so its gradient broadcasts over `i`

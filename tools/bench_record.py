@@ -30,7 +30,8 @@ length, the workloads and the metric directions come from the working
 tree's `BENCHMARK.json`.
 
 Runs one benchmark process at a time; on a shared host, keep other work
-off the machine while it records.
+off the machine while it records. Stopped by SIGTERM, it removes the
+base tree and kills the benchmark or test process it was waiting on.
 """
 
 import argparse
@@ -38,6 +39,7 @@ import datetime
 import io
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -257,7 +259,15 @@ def record(args):
     return 0 if all(r["correct"] for r in runs) else 1
 
 
+def exit_on_sigterm(signum, frame):
+    """SIGTERM as SystemExit, so that `with` blocks unwind: the base
+    tree's temporary directory is removed, and `subprocess.run` kills its
+    running child before re-raising."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv):
+    signal.signal(signal.SIGTERM, exit_on_sigterm)
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--label", help="names the output file BENCH_<label>.json")
     p.add_argument("--seed", type=int, default=1501, help="first pair's seed")
