@@ -101,20 +101,20 @@ def pack_prompt(demos, test, k, l_max, fmt="direct"):
     if l_max < 1:
         raise PackingError("l_max must be >= 1")
     budget = TOKENS_PER_DEMO_BUDGET * k
-    test_seg = list(test.y if fmt == "channel" else test.x)[:l_max]
+    test_seg = (test.y if fmt == "channel" else test.x)[:l_max]
     if len(test_seg) > budget:
         raise PackingError(
             f"test input alone ({len(test_seg)} tokens) exceeds the {budget}-token budget")
     admitted = []
     total = len(test_seg)
     for demo in demos:
-        x, y = list(demo.x), list(demo.y)
-        seg = (y + x if fmt == "channel" else x + y)[:l_max]
+        seg = (demo.y + demo.x if fmt == "channel"
+               else demo.x + demo.y)[:l_max]
         if len(admitted) + 1 > k or total + len(seg) > budget:
             break
-        admitted.append(tuple(seg))
+        admitted.append(seg)
         total += len(seg)
-    return PromptPack(tuple(admitted), tuple(test_seg))
+    return PromptPack(tuple(admitted), test_seg)
 
 
 def prompts(test, candidates, fmt="direct"):
@@ -179,7 +179,7 @@ def fused_logprobs(model, demos, test, candidates, plan, l_max, fmt="direct"):
         for t, conts in prompts(test, candidates, fmt):
             enc = group_fid_encode(model, [demos[i] for i in part], t, groups,
                                    l_max, fmt)
-            scores += [model.sequence_logprob(*enc, list(c)).item()
+            scores += [model.sequence_logprob(*enc, c).item()
                        for c in conts]
     # mean over the runs in a fixed order; one run divides by 1, exactly
     return np.mean(np.reshape(scores, (-1, len(candidates))), axis=0)

@@ -23,7 +23,9 @@ import numpy as np
 TOKEN_BASE = 2  # first usable token id: keys and inputs start here
 LABEL_BASE = 40  # first label token of the lookup and linear families
 ARITY = 4  # labels of the lookup and linear families
-OPTIONS = np.arange(LABEL_BASE, LABEL_BASE + ARITY)[:, None]  # (ARITY, 1)
+# The candidates of every lookup and linear example: one shared tuple of
+# one-token options, which no example can edit.
+OPTIONS = tuple((LABEL_BASE + i,) for i in range(ARITY))
 # A pool of two lookup keys keeps the routing problem learnable by the
 # dense-attention baseline within the desk-scale training budget;
 # repeated keys give the matching signal several anchor positions.
@@ -31,22 +33,34 @@ NUM_KEYS = 2  # lookup keys are TOKEN_BASE + [0, 2)
 LINEAR_INPUT_RANGE = 16  # linear inputs are TOKEN_BASE + [0, 16)
 MAX_OFFSET = 4  # copy offsets are 1..MAX_OFFSET
 COPY_INPUT_RANGE = 20  # copy inputs are TOKEN_BASE + [0, 20)
+# x and its option under offset 1..MAX_OFFSET, as shifts of the raw
+# input: inputs lie below COPY_INPUT_RANGE, so no shift wraps around.
+COPY_SHIFTS = TOKEN_BASE + np.arange(1 + MAX_OFFSET)[:, None]
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskExample:
-    x: list
-    y: list
-    options: list = None  # candidate continuations (token lists)
+    """x, y and each candidate are token tuples, and `options` a tuple of
+    them or None. Other sequences are converted once; a tuple `options` is
+    kept as given, so examples can share one. Tuples cannot be edited, so
+    sharing lets no edit of one example reach another."""
+
+    x: tuple
+    y: tuple
+    options: tuple = None  # candidate continuations
 
     def __post_init__(self):
+        self.x, self.y = tuple(self.x), tuple(self.y)
         if len(self.x) == 0 or len(self.y) == 0:
             raise ValueError("x and y must be non-empty")
-        if self.options is not None and list(self.y) not in self.options:
-            raise ValueError("y must be among the candidate options")
+        if self.options is not None:
+            if type(self.options) is not tuple:
+                self.options = tuple(map(tuple, self.options))
+            if self.y not in self.options:
+                raise ValueError("y must be among the candidate options")
 
 
-@dataclass
+@dataclass(slots=True)
 class Episode:
     demos: list
     test: TaskExample
@@ -69,7 +83,7 @@ class TaskFamily:
 
     @staticmethod
     def _assemble(xs, ys, options):
-        """Episode from k+1 rows of token lists; the last row is the test."""
+        """Episode from k+1 rows of token tuples; the last row is the test."""
         examples = [TaskExample(*row) for row in zip(xs, ys, options)]
         return Episode(examples[:-1], examples[-1])
 
@@ -86,12 +100,12 @@ class LookupFamily(TaskFamily):
         if k > kk:  # repeat keys consistently when k exceeds the pool
             keys = np.concatenate([keys, rng.choice(keys, size=k - kk)])
         keys = keys.tolist()
-        mapping = {key: LABEL_BASE + int(rng.integers(ARITY))
+        mapping = {key: OPTIONS[int(rng.integers(ARITY))]
                    for key in set(keys)}
         keys.append(keys[rng.integers(k)])  # the test key
-        return self._assemble([[key] for key in keys],
-                              [[mapping[key]] for key in keys],
-                              OPTIONS[None].repeat(k + 1, 0).tolist())
+        return self._assemble([(key,) for key in keys],
+                              [mapping[key] for key in keys],
+                              [OPTIONS] * (k + 1))
 
 
 class LinearLabelFamily(TaskFamily):
@@ -102,9 +116,10 @@ class LinearLabelFamily(TaskFamily):
         a = int(rng.integers(1, ARITY))
         b = int(rng.integers(ARITY))
         ts = rng.integers(LINEAR_INPUT_RANGE, size=k + 1)
-        return self._assemble((TOKEN_BASE + ts)[:, None].tolist(),
-                              OPTIONS[(a * ts + b) % ARITY].tolist(),
-                              OPTIONS[None].repeat(k + 1, 0).tolist())
+        labels = ((a * ts + b) % ARITY).tolist()
+        return self._assemble([(t,) for t in (TOKEN_BASE + ts).tolist()],
+                              [OPTIONS[i] for i in labels],
+                              [OPTIONS] * (k + 1))
 
 
 class CopyOffsetFamily(TaskFamily):
@@ -119,11 +134,14 @@ class CopyOffsetFamily(TaskFamily):
     def _episode(self, k, rng):
         off = int(rng.integers(1, MAX_OFFSET + 1))
         raw = rng.integers(COPY_INPUT_RANGE, size=(k + 1, self.seq_len))
-        offsets = np.arange(1, MAX_OFFSET + 1)[:, None]
-        opts = TOKEN_BASE + (raw[:, None, :] + offsets) % (
-            COPY_INPUT_RANGE + MAX_OFFSET)  # (k+1, MAX_OFFSET, seq_len)
-        return self._assemble((TOKEN_BASE + raw).tolist(),
-                              opts[:, off - 1].tolist(), opts.tolist())
+        grid = raw[:, None, :] + COPY_SHIFTS  # (k+1, 1 + MAX_OFFSET, seq_len)
+        # one token tuple per row, zipped from the columns; then each
+        # example's 1 + MAX_OFFSET rows in turn: x, then its options
+        rows = zip(*grid.reshape(-1, self.seq_len).T.tolist())
+        examples = list(zip(*[rows] * (1 + MAX_OFFSET)))
+        return self._assemble([e[0] for e in examples],
+                              [e[off] for e in examples],
+                              [e[1:] for e in examples])
 
 
 FAMILIES = {

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -190,7 +191,7 @@ def batch_loss(model, episodes, cfg):
         [ep.test.y] if cfg.fmt == "channel" else ep.test.options or ()
         for ep in episodes], cfg.train_k, cfg.l_max, cfg.fmt)
     if cfg.fmt == "direct":
-        gold = np.array([ep.test.options.index(list(ep.test.y))
+        gold = np.array([ep.test.options.index(ep.test.y)
                          for ep in episodes], dtype=np.int64)
         lp = tz.gather_last(tz.log_softmax_last(lp), gold)
     return tz.scale(tz.tsum(lp), -1.0 / len(episodes))
@@ -289,30 +290,41 @@ def evaluate(model, family, test_k, episodes=100, seeds=(0, 1, 2, 3, 4),
              l_max=8, fmt="direct", plan=FusionPlan()):
     """Accuracy of the fusion plan's prediction (single prompt by
     default; ties go to the first candidate) over k = test_k
-    demonstrations, averaged over demonstration seeds. The single plan
-    scores `EVAL_CHUNK` prompts, of one layout, per `batch_scores` call.
-    No tape is recorded: every parameter's `requires_grad` is off until
-    it returns or raises. Deterministic given (model, family, seeds, plan)."""
+    demonstrations, averaged over demonstration seeds. Episodes are
+    sampled one chunk at a time, just before it is scored: the single
+    plan scores `EVAL_CHUNK` prompts, of one layout, per `batch_scores`
+    call, and the other plans one episode per chunk. No tape is
+    recorded: every parameter's `requires_grad` is off until it returns
+    or raises. Deterministic given (model, family, seeds, plan)."""
+    if episodes < 1:
+        raise ValueError(f"episodes must be >= 1, got {episodes}")
     saved = [(p, p.requires_grad) for p in model.parameters().values()]
     for p, _ in saved:
         p.requires_grad = False
     accs = []
     try:
         for seed in seeds:
-            eps = [family.sample_episode(test_k, seed * 1_000_003 + i)
-                   for i in range(episodes)]
-            opts = [ep.test.options for ep in eps]
+            stream = (family.sample_episode(test_k, seed * 1_000_003 + i)
+                      for i in range(episodes))
+            chunk, n = [next(stream)], 1
             if plan.scheme == "single":
-                n = max(1, EVAL_CHUNK // len(prompts(eps[0].test, opts[0], fmt)))
-                scores = [batch_scores(model, eps[i:i + n], opts[i:i + n],
-                                       test_k, l_max, fmt).data
-                          for i in range(0, episodes, n)]
-            else:
-                scores = [fused_logprobs(model, ep.demos, ep.test, o, plan,
-                                         l_max, fmt) for ep, o in zip(eps, opts)]
-            preds = np.argmax(np.vstack(scores), axis=1)
-            accs.append(sum(list(o[p]) == list(ep.test.y)
-                            for ep, o, p in zip(eps, opts, preds)) / episodes)
+                test = chunk[0].test
+                n = max(1, EVAL_CHUNK // len(prompts(test, test.options, fmt)))
+            chunk += islice(stream, n - 1)
+            hits = 0
+            while chunk:
+                opts = [ep.test.options for ep in chunk]
+                if plan.scheme == "single":
+                    scores = batch_scores(model, chunk, opts, test_k, l_max,
+                                          fmt).data
+                else:
+                    scores = [fused_logprobs(model, ep.demos, ep.test, o, plan,
+                                             l_max, fmt)
+                              for ep, o in zip(chunk, opts)]
+                hits += sum(list(o[p]) == list(ep.test.y) for ep, o, p
+                            in zip(chunk, opts, np.argmax(scores, axis=1)))
+                chunk = list(islice(stream, n))
+            accs.append(hits / episodes)
     finally:
         for p, flag in saved:
             p.requires_grad = flag

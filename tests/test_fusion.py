@@ -169,7 +169,7 @@ class TestPrompts:
         option."""
         got = prompts(self.test, [(10,), (11,)], "channel")
         assert [(list(t.x), list(t.y), t.options, cs) for t, cs in got] == [
-            ([4, 5], [10], None, [[4, 5]]), ([4, 5], [11], None, [[4, 5]])]
+            ([4, 5], [10], None, [(4, 5)]), ([4, 5], [11], None, [(4, 5)])]
 
 
 class TestPassStructure:

@@ -11,14 +11,15 @@ from iclattn.tasks import (ARITY, COPY_INPUT_RANGE, LABEL_BASE,
 
 class TestTaskExample:
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            TaskExample([], [2])
-        with pytest.raises(ValueError):
-            TaskExample([2], [])
+        for x, y in [([], [2]), ([2], []), ((2,), ())]:
+            with pytest.raises(ValueError, match="x and y must be non-empty"):
+                TaskExample(x, y)
 
     def test_y_must_be_an_option(self):
-        with pytest.raises(ValueError):
-            TaskExample([2], [3], options=[[4], [5]])
+        for options in ([[4], [5]], ((4,), (5,))):
+            with pytest.raises(ValueError,
+                               match="y must be among the candidate options"):
+                TaskExample([2], [3], options=options)
         TaskExample([2], [3], options=[[3], [4]])  # fine
 
 
@@ -58,7 +59,7 @@ class TestLookupFamily:
     def test_options_are_label_tokens(self):
         ep = LookupFamily().sample_episode(3, 0)
         assert (LABEL_BASE, ARITY, NUM_KEYS) == (40, 4, 2)
-        assert ep.test.options == [[LABEL_BASE + i] for i in range(ARITY)]
+        assert ep.test.options == tuple((LABEL_BASE + i,) for i in range(ARITY))
         assert all(TOKEN_BASE <= d.x[0] < TOKEN_BASE + NUM_KEYS
                    for d in ep.demos + [ep.test])
 
@@ -95,8 +96,8 @@ class TestCopyFamily:
         modulus = COPY_INPUT_RANGE + MAX_OFFSET
 
         def shift(x, off):
-            return [TOKEN_BASE + (t - TOKEN_BASE + off) % modulus
-                    for t in x]
+            return tuple(TOKEN_BASE + (t - TOKEN_BASE + off) % modulus
+                         for t in x)
 
         seen = set()
         for seed in range(300):
@@ -108,8 +109,8 @@ class TestCopyFamily:
                 assert len(ex.x) == fam.seq_len, seed
                 assert all(0 <= t - TOKEN_BASE < COPY_INPUT_RANGE
                            for t in ex.x), seed
-                assert ex.options == [shift(ex.x, o)
-                                      for o in range(1, MAX_OFFSET + 1)], seed
+                assert ex.options == tuple(shift(ex.x, o)
+                                           for o in range(1, MAX_OFFSET + 1)), seed
                 assert ex.y == shift(ex.x, off), seed
         assert seen == set(range(1, MAX_OFFSET + 1))
 
@@ -138,14 +139,41 @@ def test_episode_stream_is_stable():
     assert digest == STREAM_SHA256
 
 
-def test_examples_own_their_lists():
-    """No list is shared between examples, or between y and options, so
-    editing one example cannot change another."""
+def test_examples_cannot_edit_each_other():
+    """Editing one example cannot change another: tokens and options are
+    tuples, which refuse item assignment, and rebinding one example's
+    field leaves the examples that share its objects as they were."""
     for name in ("lookup", "linear", "copy"):
         ep = make_family(name).sample_episode(4, 0)
-        lists = [l for ex in ep.demos + [ep.test]
-                 for l in [ex.x, ex.y, ex.options, *ex.options]]
-        assert len({id(l) for l in lists}) == len(lists), name
+        first, *rest = ep.demos + [ep.test]
+        for seq in (first.x, first.y, first.options, first.options[0]):
+            with pytest.raises(TypeError):
+                seq[0] = 99
+        before = repr(rest)
+        first.x, first.y, first.options = (99,), (98,), ((98,),)
+        assert repr(rest) == before, name
+
+
+class TestExampleLayout:
+    def test_no_instance_dict(self):
+        ep = make_family("lookup").sample_episode(2, 0)
+        for obj in (ep, ep.test):
+            assert not hasattr(obj, "__dict__")
+            with pytest.raises(AttributeError):
+                obj.extra = 1
+
+    @pytest.mark.parametrize("name", ["lookup", "linear"])
+    def test_one_shared_options_object(self, name):
+        for seed in range(20):
+            ep = make_family(name).sample_episode(8, seed)
+            examples = ep.demos + [ep.test]
+            assert len({id(ex.options) for ex in examples}) == 1, seed
+
+    def test_list_inputs_become_tuples(self):
+        ex = TaskExample([2, 3], [5], options=[[4], [5]])
+        assert (ex.x, ex.y, ex.options) == ((2, 3), (5,), ((4,), (5,)))
+        assert all(type(o) is tuple for o in ex.options)
+        assert TaskExample([2], [3]).options is None
 
 
 class TestMakeFamily:

@@ -117,7 +117,7 @@ class TestBatchLoss:
             cand = [model.sequence_logprob(*enc, list(c))
                     for c in ep.test.options]
             scores = tz.reshape(tz.concat(cand, axis=0), (1, len(cand)))
-            gold = np.array([ep.test.options.index(list(ep.test.y))])
+            gold = np.array([ep.test.options.index(tuple(ep.test.y))])
             nll = tz.scale(tz.gather_last(tz.log_softmax_last(scores), gold),
                            -1.0)
             total = nll if total is None else tz.add(total, nll)
@@ -561,6 +561,58 @@ class TestEvaluate:
         hits = sum(list(ep.test.options[p]) == list(ep.test.y)
                    for ep, p in zip(eps, preds))
         assert result.per_seed == [hits / 21]
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("plan", [FusionPlan(),
+                                      FusionPlan("group_fid", 2)])
+    def test_samples_each_chunk_just_before_scoring_it(self, plan, fmt,
+                                                        monkeypatch):
+        """No episode of chunk i+1 is sampled before chunk i is scored.
+        The single plan's chunks take `EVAL_CHUNK` prompts (the last
+        fewer), the other plans' one episode; the seeds run in order."""
+        events = []
+        lookup = LookupFamily()
+
+        class Family:
+            def sample_episode(self, k, seed):
+                events.append(("sample", seed))
+                return lookup.sample_episode(k, seed)
+
+        def spy(scorer, count):
+            def wrapped(*args, **kwargs):
+                events.append(("score", count(args)))
+                return scorer(*args, **kwargs)
+            return wrapped
+
+        ref = evaluate(tiny_model(), lookup, 4, episodes=21, seeds=(0, 1),
+                       fmt=fmt, plan=plan)
+        monkeypatch.setattr(training, "batch_scores",
+                            spy(batch_scores, lambda a: len(a[1])))
+        monkeypatch.setattr(training, "fused_logprobs",
+                            spy(fused_logprobs, lambda a: 1))
+        result = evaluate(tiny_model(), Family(), 4, episodes=21,
+                          seeds=(0, 1), fmt=fmt, plan=plan)
+        assert result.per_seed == ref.per_seed
+        assert events[-1][0] == "score"
+        n = 1
+        if plan.scheme == "single":
+            n = EVAL_CHUNK // (ARITY if fmt == "channel" else 1)
+        pending, sizes = 0, []
+        for kind, what in events:
+            if kind == "sample":
+                pending += 1
+                continue
+            assert what == pending, events  # the chunk just sampled
+            sizes.append(what)
+            pending = 0
+        per_seed = [n] * (21 // n) + [21 % n] * (21 % n > 0)
+        assert sizes == per_seed * 2
+        assert [w for kind, w in events if kind == "sample"] == [
+            s * 1_000_003 + i for s in (0, 1) for i in range(21)]
+
+    def test_rejects_no_episodes(self):
+        with pytest.raises(ValueError, match="episodes must be >= 1"):
+            evaluate(tiny_model(), LookupFamily(), 4, episodes=0)
 
     @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize("k", [1, 8, 32])
