@@ -31,6 +31,9 @@ OPTIONS = tuple((LABEL_BASE + i,) for i in range(ARITY))
 # repeated keys give the matching signal several anchor positions.
 NUM_KEYS = 2  # lookup keys are TOKEN_BASE + [0, 2)
 LINEAR_INPUT_RANGE = 16  # linear inputs are TOKEN_BASE + [0, 16)
+# The one-token inputs of every lookup and linear example, by raw index:
+# INPUTS[i] is (TOKEN_BASE + i,), and lookup keys are its first NUM_KEYS.
+INPUTS = tuple((TOKEN_BASE + i,) for i in range(LINEAR_INPUT_RANGE))
 MAX_OFFSET = 4  # copy offsets are 1..MAX_OFFSET
 COPY_INPUT_RANGE = 20  # copy inputs are TOKEN_BASE + [0, 20)
 # x and its option under offset 1..MAX_OFFSET, as shifts of the raw
@@ -96,14 +99,14 @@ class LookupFamily(TaskFamily):
 
     def _episode(self, k, rng):
         kk = min(k, NUM_KEYS)
-        keys = TOKEN_BASE + rng.choice(NUM_KEYS, size=kk, replace=False)
+        keys = rng.choice(NUM_KEYS, size=kk, replace=False)
         if k > kk:  # repeat keys consistently when k exceeds the pool
             keys = np.concatenate([keys, rng.choice(keys, size=k - kk)])
         keys = keys.tolist()
         mapping = {key: OPTIONS[int(rng.integers(ARITY))]
                    for key in set(keys)}
         keys.append(keys[rng.integers(k)])  # the test key
-        return self._assemble([(key,) for key in keys],
+        return self._assemble([INPUTS[key] for key in keys],
                               [mapping[key] for key in keys],
                               [OPTIONS] * (k + 1))
 
@@ -117,7 +120,7 @@ class LinearLabelFamily(TaskFamily):
         b = int(rng.integers(ARITY))
         ts = rng.integers(LINEAR_INPUT_RANGE, size=k + 1)
         labels = ((a * ts + b) % ARITY).tolist()
-        return self._assemble([(t,) for t in (TOKEN_BASE + ts).tolist()],
+        return self._assemble([INPUTS[t] for t in ts.tolist()],
                               [OPTIONS[i] for i in labels],
                               [OPTIONS] * (k + 1))
 

@@ -25,7 +25,8 @@ shared the same way: `reshape` and `split_heads` return views of their
 input's data, which is why no op writes its inputs. Constants (neither
 requiring grad nor produced by a tracked op) receive no gradient. A
 non-leaf node's gradient is released as soon as its backward closure has
-run; only leaves keep theirs.
+run; only leaves keep theirs, and the optimizer drops each leaf gradient
+once it has read it.
 
 Memory: `keep_heap`, which `training.train_step` calls, keeps a step's
 freed arrays of up to 2 MiB in glibc's heap instead of faulting them in

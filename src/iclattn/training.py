@@ -72,15 +72,15 @@ def lr_schedule(step, cfg):
 
 
 # Elements per Adam update chunk. Gradients are gathered, and the update
-# runs, one chunk (or one larger parameter) at a time through three float64
+# runs, one chunk (or one larger parameter) at a time through two float64
 # scratch arrays: a whole-buffer gradient copy raised the desk-scale
 # benchmark's peak RSS by 2.9 MB (4.5%), as each of its set-ups holds a
 # model and optimizer. Every update op is elementwise, so any size gives the
 # same bits. On the default model, one BLAS thread, `Adam.step` took
 # 1.23 / 1.20 / 1.21 ms with train-desk's gradients and 1.40 / 1.32 /
 # 1.35 ms with train-long's at 16384 / 32768 / 65536: 32768 was fastest.
-# Their scratch is 384 KiB / 768 KiB / 1.5 MiB per optimizer, against
-# train-desk's 61.7 MB peak RSS. 16384 stays: 32768 would save about
+# Their scratch is 256 KiB / 512 KiB / 1 MiB per optimizer, against
+# train-desk's 54.5 MB peak RSS. 16384 stays: 32768 would save about
 # 0.03 ms of a 7-9 ms desk step, well inside that benchmark's spread.
 _ADAM_CHUNK = 16384
 # Adam's moment decays and denominator term: Kingma & Ba's defaults.
@@ -99,9 +99,10 @@ class Adam:
     optimizer. Each step walks the runs of consecutive parameters that
     have a gradient and updates them a chunk at a time: the gradient is
     gathered (and cast) into a float64 scratch array, and the updated
-    master chunk is cast back into the working buffer. A parameter whose
-    `.grad` is None gets neither a moment decay nor an update. `BETA1`,
-    `BETA2` and `EPS` are fixed; each `step` takes the learning rate."""
+    master chunk is cast back into the working buffer. Each `.grad` is set
+    to None once gathered; a parameter whose `.grad` is None gets neither
+    a moment decay nor an update. `BETA1`, `BETA2` and `EPS` are fixed;
+    each `step` takes the learning rate."""
 
     def __init__(self, params):
         self.params = params
@@ -121,12 +122,12 @@ class Adam:
         self.v = np.zeros_like(self.flat)
         chunk = max([min(_ADAM_CHUNK, self.flat.size)]
                     + [p.data.size for p in params.values()])
-        self._scratch = tuple(np.empty(chunk) for _ in range(3))
+        self._scratch = tuple(np.empty(chunk) for _ in range(2))
 
     def step(self, lr):
         self.t += 1
         corr = (1 - BETA1 ** self.t, 1 - BETA2 ** self.t)
-        g = self._scratch[2]
+        g = self._scratch[1]
         a = n = 0               # g[:n] holds the gradient of flat[a:a + n]
         for p, start, stop in self._spans:
             size = stop - start
@@ -138,18 +139,21 @@ class Adam:
             if not n:
                 a = start
             np.copyto(g[n:n + size].reshape(p.data.shape), p.grad)
+            p.grad = None
             n += size
         if n:
             self._update(a, n, lr, *corr)
 
     def _update(self, a, n, lr, corr1, corr2):
-        """Adam on flat[a:a + n], whose gradient is in the scratch array:
-        the operations, in their order, of
+        """Adam on flat[a:a + n], whose gradient is in the second scratch
+        array: the operations, in their order, of
         m = BETA1 m + (1 - BETA1) g,  v = BETA2 v + (1 - BETA2) g g,
         w -= lr (m / corr1) / (sqrt(v / corr2) + EPS),
-        then the cast of the updated weights into the working buffer."""
+        then the cast of the updated weights into the working buffer. The
+        step term reuses the gradient's chunk after its last read; from
+        t = 356 on corr1 is exactly 1.0, and m / corr1 is skipped."""
         m, v = self.m[a:a + n], self.v[a:a + n]
-        s1, s2, g = (s[:n] for s in self._scratch)
+        s1, g = (s[:n] for s in self._scratch)
         m *= BETA1
         np.multiply(g, 1 - BETA1, out=s1)
         m += s1
@@ -160,11 +164,11 @@ class Adam:
         np.divide(v, corr2, out=s1)
         np.sqrt(s1, out=s1)
         s1 += EPS
-        np.divide(m, corr1, out=s2)
-        s2 *= lr
-        s2 /= s1
+        mh = m if corr1 == 1.0 else np.divide(m, corr1, out=g)
+        np.multiply(mh, lr, out=g)
+        g /= s1
         w = self.flat[a:a + n]
-        w -= s2
+        w -= g
         self._work[a:a + n] = w
 
     def zero_grad(self):

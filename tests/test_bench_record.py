@@ -1,5 +1,6 @@
 """`tools/bench_record.py` summarizes `setup_s`, its two parts, the
-tier-1 wall times and the line count of `src/`."""
+tier-1 wall times and the line count of `src/`, and lists each run's
+peak RSS."""
 
 import importlib.util
 import json
@@ -176,6 +177,34 @@ def test_src_lines_are_recorded_and_tabled(tmp_path):
     assert rows[-1] == "| src lines | wc -l | 2544 | 2523 | -0.8% | - | - |"
     del record["src_lines"]
     assert "src lines" not in bench_record.table(record)
+
+
+def test_rss_by_pair_lists_each_run_in_pair_order(tmp_path, capsys):
+    """One row per workload and side gives every run's `peak_rss_mb` in
+    pair order, whichever side ran first; `--table` prints it after the
+    summary table, for a recorded file too."""
+    runs = []
+    for pair in (2, 0, 1):
+        for side, rss in (("change", 50.0 + pair), ("base", 60.0 + pair)):
+            runs.append({"workload": "w", "pair": pair, "side": side,
+                         "metrics": {"peak_rss_mb": rss}})
+    record = {"summary": bench_record.summarize(
+        runs, {"peak_rss_mb": ("MB", "lower")}), "runs": runs}
+    assert bench_record.rss_by_pair(record).splitlines() == [
+        "| workload | side | peak_rss_mb by pair |", "| --- | --- | --- |",
+        "| w | base | 60.00, 61.00, 62.00 |",
+        "| w | change | 50.00, 51.00, 52.00 |"]
+    path = tmp_path / "BENCH_x.json"
+    path.write_text(json.dumps(record))
+    assert bench_record.main(["--table", str(path)]) == 0
+    assert capsys.readouterr().out.endswith(
+        bench_record.rss_by_pair(record) + "\n")
+    recorded = json.loads((_PATH.parent.parent / "BENCH_pr25.json").read_text())
+    rows = bench_record.rss_by_pair(recorded).splitlines()[2:]
+    assert [r.split(" | ")[:2] for r in rows] == [
+        ["| train-desk", "base"], ["| train-desk", "change"],
+        ["| train-long", "base"], ["| train-long", "change"]]
+    assert all(len(r.split(" | ")[2].split(", ")) == 10 for r in rows)
 
 
 def test_sigterm_removes_the_base_tree(tmp_path):

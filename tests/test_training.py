@@ -73,6 +73,18 @@ def assert_grads_match(params, ref_grads):
                                        atol=1e-9, err_msg=n)
 
 
+def record_step_gradients(opt):
+    """Wrap `opt.step` so that each call first appends name -> the
+    gradient that parameter holds (or None); the list is returned."""
+    seen, real_step = [], opt.step
+
+    def step(lr):
+        seen.append({n: p.grad for n, p in opt.params.items()})
+        real_step(lr)
+    opt.step = step
+    return seen
+
+
 class TestBatchLoss:
     def test_untrained_loss_near_log_arity(self):
         """Balanced ARITY labels with 1-token answers: an untrained
@@ -258,8 +270,8 @@ class TestTrainStep:
     def test_one_token_answers_train_only_self_attention_values(self):
         """Lookup's one-token answers give each decoder self-attention row
         one key, so that sublayer runs on `wv` and `wo` alone: `wq`, `wk`
-        and `dec_bias` get no gradient and keep their weights. Copy's
-        three-token answers give all of them gradients."""
+        and `dec_bias` reach Adam with no gradient and keep their weights.
+        Copy's three-token answers give all of them gradients."""
         model = EncoderDecoder(ModelConfig(vocab=48, d_model=8, heads=2,
                                            enc_layers=1, dec_layers=2, ffn=16))
         params = model.parameters()
@@ -268,19 +280,58 @@ class TestTrainStep:
         used = [f"dec.{i}.self.{w}" for i in (0, 1) for w in ("wv", "wo")]
         cfg = tiny_cfg(batch_size=2, train_k=2)
         opt = Adam(params)
+        seen = record_step_gradients(opt)
         before = {n: params[n].data.copy() for n in idle}
         rng = np.random.default_rng(0)
         train_step(model, opt, sample_batch(LookupFamily(), 2, 2, rng),
                    lr=1e-3, cfg=cfg)
         for n in idle:
-            assert params[n].grad is None, n
+            assert seen[-1][n] is None, n
             np.testing.assert_array_equal(params[n].data, before[n], err_msg=n)
         for n in used:
-            assert params[n].grad is not None and params[n].grad.any(), n
+            assert seen[-1][n] is not None and seen[-1][n].any(), n
         train_step(model, opt, sample_batch(CopyOffsetFamily(), 2, 2, rng),
                    lr=1e-3, cfg=cfg)
         for n in idle + used:
-            assert params[n].grad is not None and params[n].grad.any(), n
+            assert seen[-1][n] is not None and seen[-1][n].any(), n
+
+    @pytest.mark.parametrize("family", ["lookup", "copy"])
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_leaves_no_gradient(self, family, fmt):
+        """Adam drops each gradient once it has gathered it: after
+        `train_step` no parameter holds one, although every parameter
+        that Adam updated held one when it was entered."""
+        model = tiny_model()
+        params = model.parameters()
+        opt = Adam(params)
+        seen = record_step_gradients(opt)
+        cfg = tiny_cfg(batch_size=2, train_k=2, fmt=fmt)
+        train_step(model, opt, sample_batch(
+            make_family(family), 2, 2, np.random.default_rng(0)), 1e-3, cfg)
+        assert sum(g is not None for g in seen[-1].values()) > len(params) / 2
+        assert all(p.grad is None for p in params.values())
+
+    def test_a_warm_step_adds_no_traced_memory(self):
+        """At `train-desk`'s shape (default model, lookup, B=8, k=8), a
+        step after warm-up frees what it allocates: no gradient is left
+        on a parameter (about 0.63 MB when Adam kept them)."""
+        import tracemalloc
+
+        model = EncoderDecoder(ModelConfig(), seed=0)
+        opt = Adam(model.parameters())
+        cfg = TrainConfig(train_k=8, batch_size=8)
+        rng = np.random.default_rng(0)
+        batches = [sample_batch(LookupFamily(), 8, 8, rng) for _ in range(3)]
+        for batch in batches[:2]:
+            train_step(model, opt, batch, 1e-3, cfg)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train_step(model, opt, batches[2], 1e-3, cfg)
+            added = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert added < 0.05e6, f"{added} bytes still traced after one step"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("grad_clip", [1.0, 0.0])
@@ -366,6 +417,9 @@ class TestOptimizers:
         assert np.abs(p.data).max() < 1e-3
 
     def test_adam_in_place_moments_match_reference_formula(self):
+        """Bit for bit the reference formula, at t = 1-5 and across t = 356,
+        where 1 - BETA1 ** t first rounds to 1.0. Adam writes no gradient
+        array and drops each one."""
         rng = np.random.default_rng(12)
         params = {"w": tz.Tensor(rng.standard_normal((3, 4)), requires_grad=True),
                   "b": tz.Tensor(rng.standard_normal(4), requires_grad=True)}
@@ -373,14 +427,19 @@ class TestOptimizers:
         opt = Adam(params)
         master = master_views(opt)
         b1, b2, eps, lr = BETA1, BETA2, EPS, 1e-2
+        assert 1 - b1 ** 355 < 1.0 == 1 - b1 ** 356
         m = {n: np.zeros_like(a) for n, a in ref.items()}
         v = {n: np.zeros_like(a) for n, a in ref.items()}
-        for t in range(1, 6):
+        for t in [*range(1, 6), *range(353, 359)]:
+            opt.t = t - 1
             grads = {n: rng.standard_normal(p.data.shape)
                      for n, p in params.items()}
+            kept = {n: g.copy() for n, g in grads.items()}
             for n, p in params.items():
+                grads[n].flags.writeable = False
                 p.grad = grads[n]
             opt.step(lr)
+            assert opt.t == t
             for n, g in grads.items():
                 m[n] = b1 * m[n] + (1 - b1) * g
                 v[n] = b2 * v[n] + (1 - b2) * g * g
@@ -389,7 +448,8 @@ class TestOptimizers:
                 ref[n] -= lr * mh / (np.sqrt(vh) + eps)
             for n, p in params.items():
                 np.testing.assert_array_equal(master[n], ref[n])
-                np.testing.assert_array_equal(p.grad, grads[n])
+                np.testing.assert_array_equal(grads[n], kept[n])
+                assert p.grad is None, n
             assert_working_copy(opt)
 
     def test_adam_packs_parameters_into_one_buffer(self):
@@ -466,11 +526,12 @@ class TestMixedPrecision:
             real_accumulate(t, g)
         monkeypatch.setattr(tz, "_result", recording_result)
         monkeypatch.setattr(tz, "_accumulate", recording_accumulate)
+        seen = record_step_gradients(opt)
         train_step(model, opt, eps, lr=1e-3, cfg=cfg)
         assert nodes and set(nodes) == {np.dtype(np.float32)}
         assert grads and set(grads) == {np.dtype(np.float32)}
-        assert all(p.grad.dtype == np.float32
-                   for p in model.parameters().values() if p.grad is not None)
+        held = [g for g in seen[-1].values() if g is not None]
+        assert held and all(g.dtype == np.float32 for g in held)
 
 
 class TestTrainLoop:

@@ -15,7 +15,9 @@ unchanged code. After the pairs, it runs the tier-1 test command once in
 each tree and records both wall times and pytest's summary lines; the
 table adds them as a `tier-1` row. It also records each tree's
 `wc -l src/iclattn/*.py` total, which the table adds as a `src lines`
-row. Record before committing the change.
+row. A second table lists each side's per-run `peak_rss_mb` in pair
+order, so a bimodal reading's mode counts can be read off it. Record
+before committing the change.
 Run from anywhere:
 
     python3 tools/bench_record.py --label mychange
@@ -195,6 +197,20 @@ def table(record):
     return "\n".join(rows)
 
 
+def rss_by_pair(record):
+    """The markdown table of every run's `peak_rss_mb`, one row per
+    workload and side, in pair order."""
+    rows = ["| workload | side | peak_rss_mb by pair |", "| --- | --- | --- |"]
+    for wl in record["summary"]:
+        for side in ("base", "change"):
+            runs = sorted((r for r in record["runs"]
+                           if r["workload"] == wl and r["side"] == side),
+                          key=lambda r: r["pair"])
+            rows.append(f"| {wl} | {side} | " + ", ".join(
+                f"{r['metrics']['peak_rss_mb']:.2f}" for r in runs) + " |")
+    return "\n".join(rows)
+
+
 def record(args):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     directions = {}
@@ -254,7 +270,7 @@ def record(args):
     }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
-    print(table(out))
+    print(table(out) + "\n\n" + rss_by_pair(out))
     print(f"wrote {path}")
     return 0 if all(r["correct"] for r in runs) else 1
 
@@ -275,7 +291,8 @@ def main(argv):
                    help="print the table of a recorded file and exit")
     args = p.parse_args(argv)
     if args.table:
-        print(table(json.loads(Path(args.table).read_text())))
+        recorded = json.loads(Path(args.table).read_text())
+        print(table(recorded) + "\n\n" + rss_by_pair(recorded))
         return 0
     if not args.label:
         p.error("--label or --table is required")
